@@ -71,17 +71,6 @@ type 'm admission_verdict =
       (** reject now: the kernel replies with this message on the
           server's behalf, without scheduling the server's fiber *)
 
-(* Cached metric handles for the per-transaction kernel ops — bound
-   per host on first use so the IPC hot path records through pointer
-   work, not keyed lookups (see Vobs.Metrics handles). *)
-type hot_ops = {
-  ho_send : Vobs.Metrics.counter;
-  ho_receive : Vobs.Metrics.counter;
-  ho_reply : Vobs.Metrics.counter;
-  ho_admit : Vobs.Metrics.counter;
-  ho_shed : Vobs.Metrics.counter;
-}
-
 type 'm process = {
   pid : Pid.t;
   proc_name : string;
@@ -150,22 +139,10 @@ and 'm host = {
   completed_replies : (int, Ethernet.addr * 'm packet * int) Hashtbl.t;
   group_members : (int, Pid.t list) Hashtbl.t;
   host_prng : Vsim.Prng.t;
-  mutable host_hot : hot_ops option;
-  (* The per-transaction IPC counters accumulate right here — the
-     host record is already in cache on every send/receive/reply and
-     on every admission verdict, so counting is one register add with
-     no branch. [flush_metrics] moves the deltas into the registry at
-     scrape time. *)
-  mutable h_sends : int;
-  mutable h_receives : int;
-  mutable h_replies : int;
-  mutable h_admits : int;
-  mutable h_sheds : int;
-  mutable h_sends_flushed : int;
-  mutable h_receives_flushed : int;
-  mutable h_replies_flushed : int;
-  mutable h_admits_flushed : int;
-  mutable h_sheds_flushed : int;
+  (* The per-transaction IPC counters, in [ipc_ops] order: one array
+     add per send/receive/reply and admission verdict, hub or not;
+     [flush_metrics] moves them into the registry at scrape time. *)
+  ipc_counts : Vobs.Deferred.t;
 }
 
 (* A logical service implemented by a whole process group (§7): GetPid
@@ -250,7 +227,6 @@ type 'm self = 'm process
 (* --- small helpers --- *)
 
 let engine_of_domain d = d.engine
-let net_of_domain d = d.net
 
 let trace d fmt =
   match d.trace with
@@ -275,11 +251,7 @@ let obs_events_on host =
 
 let set_trace d tr = d.trace <- Some tr
 
-let set_obs d hub =
-  d.domain_obs <- Some hub;
-  (* Cached metric handles belong to the previous hub's registry. *)
-  Hashtbl.iter (fun _ host -> host.host_hot <- None) d.all_hosts
-
+let set_obs d hub = d.domain_obs <- Some hub
 let obs d = d.domain_obs
 let set_trace_of d f = d.trace_of <- f
 
@@ -307,71 +279,32 @@ let count_op host op =
       Vobs.Metrics.incr (Vobs.Hub.metrics hub) ~host:host.host_name
         ~server:"kernel" ~op
 
-(* The three per-transaction ops go through cached handles instead:
-   send/receive/reply fire on every IPC transaction, and the keyed
-   path's hashing is what the E15 overhead gate would choke on. *)
-let host_hot_ops host hub =
-  match host.host_hot with
-  | Some h -> h
-  | None ->
-      let m = Vobs.Hub.metrics hub in
-      let mk op =
-        Vobs.Metrics.counter m ~host:host.host_name ~server:"kernel" ~op
-      in
-      let h =
-        {
-          ho_send = mk "send";
-          ho_receive = mk "receive";
-          ho_reply = mk "reply";
-          ho_admit = mk "admit";
-          ho_shed = mk "shed";
-        }
-      in
-      host.host_hot <- Some h;
-      h
+(* The per-transaction ops are deferred instead: send/receive/reply
+   fire on every IPC transaction, and the keyed path's hashing is what
+   the E15 overhead gate would choke on. *)
+let ipc_ops = [| "send"; "receive"; "reply"; "admit"; "shed" |]
 
-let count_send host = host.h_sends <- host.h_sends + 1
-let count_receive host = host.h_receives <- host.h_receives + 1
-let count_reply host = host.h_replies <- host.h_replies + 1
-let count_admit host = host.h_admits <- host.h_admits + 1
-let count_shed host = host.h_sheds <- host.h_sheds + 1
+let ipc_send = 0
+let ipc_receive = 1
+let ipc_reply = 2
+let ipc_admit = 3
+let ipc_shed = 4
+let count_ipc host op = Vobs.Deferred.incr host.ipc_counts op
 
-(* Move every host's IPC-counter deltas since the previous flush into
-   the registry (through the cached handles), then flush the wire
-   layer. Called at scrape points — exports, dumps, vsh — never per
-   transaction; pure bookkeeping, so a flush at any instant leaves
-   simulated behaviour untouched. *)
+(* Move every host's IPC counts since the previous flush into the
+   registry, then flush the wire layer. Called at scrape points —
+   exports, dumps, vsh — never per transaction; pure bookkeeping, so a
+   flush at any instant leaves simulated behaviour untouched. *)
 let flush_metrics d =
   (match d.domain_obs with
   | None -> ()
   | Some hub ->
+      let m = Vobs.Hub.metrics hub in
       Hashtbl.iter
         (fun _ host ->
-          if
-            host.h_sends > host.h_sends_flushed
-            || host.h_receives > host.h_receives_flushed
-            || host.h_replies > host.h_replies_flushed
-            || host.h_admits > host.h_admits_flushed
-            || host.h_sheds > host.h_sheds_flushed
-          then begin
-            let h = host_hot_ops host hub in
-            Vobs.Metrics.add ~by:(host.h_sends - host.h_sends_flushed) h.ho_send;
-            Vobs.Metrics.add
-              ~by:(host.h_receives - host.h_receives_flushed)
-              h.ho_receive;
-            Vobs.Metrics.add
-              ~by:(host.h_replies - host.h_replies_flushed)
-              h.ho_reply;
-            Vobs.Metrics.add
-              ~by:(host.h_admits - host.h_admits_flushed)
-              h.ho_admit;
-            Vobs.Metrics.add ~by:(host.h_sheds - host.h_sheds_flushed) h.ho_shed;
-            host.h_sends_flushed <- host.h_sends;
-            host.h_receives_flushed <- host.h_receives;
-            host.h_replies_flushed <- host.h_replies;
-            host.h_admits_flushed <- host.h_admits;
-            host.h_sheds_flushed <- host.h_sheds
-          end)
+          Vobs.Deferred.flush host.ipc_counts m
+            ~host:(fun () -> host.host_name)
+            ~server:"kernel" ~ops:ipc_ops)
         d.all_hosts);
   Ethernet.flush_metrics d.net
 
@@ -402,6 +335,14 @@ let find_process d pid =
   | exception Not_found -> None
 
 let alive d pid = find_process d pid <> None
+
+(* Undelivered requests queued at a process, both lanes. *)
+let queue_length proc =
+  Queue.length proc.queue
+  + match proc.admission with Some ad -> Queue.length ad.ad_bulk | None -> 0
+
+let queue_depth d pid =
+  match find_process d pid with None -> 0 | Some proc -> queue_length proc
 
 let self_pid proc = proc.pid
 let self_name proc = proc.proc_name
@@ -479,17 +420,8 @@ let telemetry_sample d hub ~now =
       Ethernet.sample_timeseries d.net ts ~now;
       List.iter
         (fun (label, pid) ->
-          let depth =
-            match find_process d pid with
-            | None -> 0
-            | Some proc ->
-                Queue.length proc.queue
-                + (match proc.admission with
-                  | Some ad -> Queue.length ad.ad_bulk
-                  | None -> 0)
-          in
           Vobs.Timeseries.sample ts label Vobs.Timeseries.Gauge ~now
-            (float_of_int depth))
+            (float_of_int (queue_depth d pid)))
         d.tel_watched
 
 (* The hot-path hook: two float compares when armed but not yet due,
@@ -506,19 +438,22 @@ let telemetry_tick host =
     end
   end
 
-(* Suspend the current fiber in a crash-abortable, fire-once way. *)
+(* Make a suspended fiber's resumer crash-abortable and fire-once. *)
+let once proc resume =
+  let fired = ref false in
+  let fire result =
+    if not !fired then begin
+      fired := true;
+      proc.abort <- None;
+      resume result
+    end
+  in
+  proc.abort <- Some (fun e -> fire (Error e));
+  fire
+
+(* Suspend the current fiber; [register] receives its resumer. *)
 let block proc register =
-  Proc.suspend (fun resume ->
-      let fired = ref false in
-      let fire result =
-        if not !fired then begin
-          fired := true;
-          proc.abort <- None;
-          resume result
-        end
-      in
-      proc.abort <- Some (fun e -> fire (Error e));
-      register fire)
+  Proc.suspend (fun resume -> register (once proc resume))
 
 let charge proc ms =
   check_alive proc;
@@ -582,37 +517,27 @@ let destroy_process d pid =
 
 (* --- delivery --- *)
 
-let deliver proc delivery =
-  if proc.proc_alive then begin
-    let matches =
-      match proc.recv_filter with
-      | None -> true
-      | Some f -> f delivery.d_sender
-    in
-    match proc.recv_waiter with
-    | Some fire when matches ->
-        proc.recv_waiter <- None;
-        proc.recv_filter <- None;
-        fire (Ok delivery)
-    | Some _ | None -> Queue.add delivery proc.queue
-  end
+let register_serving host ~sender ~receiver ~txn =
+  Hashtbl.replace host.serving (sender, receiver) txn
 
-(* Bulk-lane delivery (admission-controlled processes only): an idle
-   receiver is fired directly, otherwise the message waits behind every
-   queued interactive one. *)
-let deliver_bulk proc ad delivery =
+(* Hand [msg] from [sender] to [proc] as the transaction [txn] it now
+   serves. An idle receiver whose filter accepts the sender is resumed
+   directly; otherwise the request waits on [lane]: the process's own
+   queue, or (admission-controlled processes only) the bulk lane, served
+   after every queued interactive request. *)
+let deliver host ~txn ~sender proc lane msg =
+  register_serving host ~sender ~receiver:proc.pid ~txn;
   if proc.proc_alive then begin
+    let delivery = { d_sender = sender; d_msg = msg } in
     let matches =
-      match proc.recv_filter with
-      | None -> true
-      | Some f -> f delivery.d_sender
+      match proc.recv_filter with None -> true | Some f -> f sender
     in
     match proc.recv_waiter with
     | Some fire when matches ->
         proc.recv_waiter <- None;
         proc.recv_filter <- None;
         fire (Ok delivery)
-    | Some _ | None -> Queue.add delivery ad.ad_bulk
+    | Some _ | None -> Queue.add delivery lane
   end
 
 (* Dequeue order: all interactive traffic first, then bulk. With no
@@ -624,9 +549,6 @@ let take_delivery proc =
       match proc.admission with
       | Some ad -> Queue.take_opt ad.ad_bulk
       | None -> None)
-
-let register_serving host ~sender ~receiver ~txn =
-  Hashtbl.replace host.serving (sender, receiver) txn
 
 let cancel_pending_timers host pending =
   let eng = host.domain.engine in
@@ -680,6 +602,18 @@ let remote_recv_cost d msg =
   Calibration.small_packet_recv_cpu
   +. (if d.cost.segment_bytes msg > 0 then Calibration.segment_copy_remote_cpu else 0.0)
 
+(* Put a completed transaction's reply on the wire towards [dst],
+   keeping it to replay if the frame is lost and the sender retransmits
+   (bounded cache: duplicate suppression is only needed within the
+   retransmission window). *)
+let transmit_reply host ~txn ~replier ~dst msg =
+  let packet = Reply_pkt { txn; replier; msg } in
+  let bytes = message_payload_bytes host.domain msg in
+  if Hashtbl.length host.completed_replies > 4096 then
+    Hashtbl.reset host.completed_replies;
+  Hashtbl.replace host.completed_replies txn (dst, packet, bytes);
+  transmit host ~dst:(Ethernet.Unicast dst) ~payload_bytes:bytes packet
+
 (* --- request dispatch (Send and Forward share this) --- *)
 
 (* Complete a shed transaction on the server's behalf: resume a local
@@ -688,41 +622,31 @@ let remote_recv_cost d msg =
    fiber runs and no service time is charged — rejection is the cheap
    path, which is the entire point of shedding early. *)
 let shed_reply host ~txn ~sender ~replier msg =
-  let d = host.domain in
-  match find_process d sender with
+  match find_process host.domain sender with
   | Some sender_proc when sender_proc.proc_host == host ->
       fill_pending host ~txn (Ok (msg, replier))
   | Some sender_proc ->
-      let packet = Reply_pkt { txn; replier; msg } in
-      let bytes = message_payload_bytes d msg in
-      let dst = sender_proc.proc_host.addr in
-      if Hashtbl.length host.completed_replies > 4096 then
-        Hashtbl.reset host.completed_replies;
-      Hashtbl.replace host.completed_replies txn (dst, packet, bytes);
-      transmit host ~dst:(Ethernet.Unicast dst) ~payload_bytes:bytes packet
+      transmit_reply host ~txn ~replier ~dst:sender_proc.proc_host.addr msg
   | None -> () (* sender died while blocked; nothing to resume *)
 
 let dispatch_local_request host ~txn ~sender ~target_proc msg =
   match target_proc.admission with
-  | None ->
-      register_serving host ~sender ~receiver:target_proc.pid ~txn;
-      deliver target_proc { d_sender = sender; d_msg = msg }
+  | None -> deliver host ~txn ~sender target_proc target_proc.queue msg
   | Some ad -> (
-      let depth = Queue.length target_proc.queue + Queue.length ad.ad_bulk in
+      let depth = queue_length target_proc in
       match ad.ad_decide ~now:(Engine.now host.domain.engine) ~depth msg with
-      | Admit ->
+      | (Admit | Admit_bulk) as verdict ->
           ad.ad_admitted <- ad.ad_admitted + 1;
-          count_admit host;
-          register_serving host ~sender ~receiver:target_proc.pid ~txn;
-          deliver target_proc { d_sender = sender; d_msg = msg }
-      | Admit_bulk ->
-          ad.ad_admitted <- ad.ad_admitted + 1;
-          count_admit host;
-          register_serving host ~sender ~receiver:target_proc.pid ~txn;
-          deliver_bulk target_proc ad { d_sender = sender; d_msg = msg }
+          count_ipc host ipc_admit;
+          let lane =
+            match verdict with
+            | Admit_bulk -> ad.ad_bulk
+            | Admit | Shed _ -> target_proc.queue
+          in
+          deliver host ~txn ~sender target_proc lane msg
       | Shed reply_msg ->
           ad.ad_shed <- ad.ad_shed + 1;
-          count_shed host;
+          count_ipc host ipc_shed;
           if obs_events_on host then
             event_log host ~cat:Vobs.Eventlog.Admission
               ~trace:(host.domain.trace_of msg)
@@ -740,44 +664,14 @@ let dispatch_remote_request src_host ~dst_addr ~txn ~sender ~target msg =
    renews while the destination host remains reachable — a server
    legitimately busy serving the transaction (e.g. a long MoveTo) does
    not abort the sender. A bounded number of probes caps transactions
-   whose forwarded target silently disappeared. *)
+   whose forwarded target silently disappeared. [on_probe attempt] runs
+   at every probe that renews the timeout ([ignore] for a plain remote
+   Send; see [forward] for the other use). *)
 let max_timeout_probes = 60
 
-let arm_timeout host ~txn pending ~dst_addr =
-  let d = host.domain in
+let arm_timeout host ~txn pending ~dst_addr ~on_probe =
   let rec probe attempts () =
-    if Hashtbl.mem host.pendings txn then begin
-      let target_host_reachable =
-        match Hashtbl.find_opt d.all_hosts dst_addr with
-        | Some h ->
-            h.host_up && Ethernet.reachable d.net host.addr dst_addr
-        | None -> false
-      in
-      if target_host_reachable && attempts < max_timeout_probes then
-        pending.p_timeout <-
-          Some
-            (Engine.timer ~delay:Calibration.ipc_timeout_ms d.engine
-               (probe (attempts + 1)))
-      else fill_pending host ~txn (Error (Ipc_error Timeout))
-    end
-  in
-  pending.p_timeout <-
-    Some (Engine.timer ~delay:Calibration.ipc_timeout_ms d.engine (probe 1))
-
-(* Recovery for a locally-submitted transaction that a server forwarded
-   to a remote host. The local send path arms no retransmission — local
-   delivery cannot lose frames — but the forward makes the reply leg
-   lossy: if the remote reply frame is dropped, nothing would ever
-   resend and the sender blocks forever. Probe at the timeout pace (not
-   the retransmission pace): each probe resends the forwarded request —
-   the target's completed-reply cache replays a lost reply, its
-   duplicate suppression absorbs the rest — and the transaction fails
-   with Timeout once the target host is unreachable or the probe budget
-   is spent. Fault-free forwarded transactions complete well before the
-   first probe fires, so loss-free runs see no extra frames. *)
-let arm_forward_recovery host ~txn pending ~dst_addr resend =
-  let d = host.domain in
-  let rec probe attempts () =
+    let d = host.domain in
     if Hashtbl.mem host.pendings txn && host.host_up then begin
       let target_host_reachable =
         match Hashtbl.find_opt d.all_hosts dst_addr with
@@ -786,10 +680,7 @@ let arm_forward_recovery host ~txn pending ~dst_addr resend =
         | None -> false
       in
       if target_host_reachable && attempts < max_timeout_probes then begin
-        if obs_events_on host then
-          event_log host ~cat:Vobs.Eventlog.Kernel
-            "forward-recovery-probe txn %d (attempt %d)" txn attempts;
-        resend ();
+        on_probe attempts;
         pending.p_timeout <-
           Some
             (Engine.timer ~delay:Calibration.ipc_timeout_ms d.engine
@@ -799,7 +690,9 @@ let arm_forward_recovery host ~txn pending ~dst_addr resend =
     end
   in
   pending.p_timeout <-
-    Some (Engine.timer ~delay:Calibration.ipc_timeout_ms d.engine (probe 1))
+    Some
+      (Engine.timer ~delay:Calibration.ipc_timeout_ms host.domain.engine
+         (probe 1))
 
 (* Periodically resend a request packet while its transaction is still
    pending; the receiving kernel suppresses duplicates. Rides under the
@@ -821,9 +714,34 @@ let arm_retransmit host ~txn pending resend =
 
 (* --- the IPC primitives --- *)
 
+(* One message transaction from [proc]: register its pending record
+   under [txn], have [start host txn pending] put the request in motion,
+   block until a reply or an error fires the record, and retire the
+   record however the wait ended. [start] is handed the host and txn so
+   that its closure need not capture them. *)
+let transact proc ~txn ~buffer start =
+  let result =
+    try
+      Ok
+        (Proc.suspend (fun resume ->
+             let pending =
+               {
+                 p_fire = once proc resume;
+                 p_buffer = buffer;
+                 p_retransmit = None;
+                 p_timeout = None;
+               }
+             in
+             Hashtbl.replace proc.proc_host.pendings txn pending;
+             start proc.proc_host txn pending))
+    with Ipc_error e -> Error e
+  in
+  drop_pending proc.proc_host ~txn;
+  result
+
 (* The remote leg of Send: put the request on the wire towards
    [dst_addr] and block with retransmission and timeout armed. *)
-let send_remote proc ?buffer ~dst_addr ~target msg =
+let send_remote proc ~buffer ~dst_addr ~target msg =
   let host = proc.proc_host in
   let d = host.domain in
   charge proc Calibration.small_packet_send_cpu;
@@ -835,26 +753,10 @@ let send_remote proc ?buffer ~dst_addr ~target msg =
   let send_it () =
     transmit host ~dst:(Ethernet.Unicast dst_addr) ~payload_bytes:bytes packet
   in
-  let result =
-    try
-      Ok
-        (block proc (fun fire ->
-             let pending =
-               {
-                 p_fire = fire;
-                 p_buffer = buffer;
-                 p_retransmit = None;
-                 p_timeout = None;
-               }
-             in
-             Hashtbl.replace host.pendings txn pending;
-             send_it ();
-             arm_retransmit host ~txn pending send_it;
-             arm_timeout host ~txn pending ~dst_addr))
-    with Ipc_error e -> Error e
-  in
-  drop_pending host ~txn;
-  result
+  transact proc ~txn ~buffer (fun host txn pending ->
+      send_it ();
+      arm_retransmit host ~txn pending send_it;
+      arm_timeout host ~txn pending ~dst_addr ~on_probe:ignore)
 
 (* [send proc target msg] implements the Send primitive: blocks the
    calling fiber until the target (or whoever the message is forwarded
@@ -865,7 +767,7 @@ let send proc ?buffer target msg =
   let host = proc.proc_host in
   let d = host.domain in
   Vsim.Stats.Counter.incr d.ipc_transactions;
-  count_send host;
+  count_ipc host ipc_send;
   if tracing d then trace d "Send %a -> %a" Pid.pp proc.pid Pid.pp target;
   if obs_on host then begin
     telemetry_tick host;
@@ -877,27 +779,12 @@ let send proc ?buffer target msg =
   | Some target_proc when target_proc.proc_host == host ->
       charge proc Calibration.local_ipc_leg_cpu;
       if not target_proc.proc_alive then Error Nonexistent_process
-      else begin
+      else
         let txn = fresh_txn d in
-        let result =
-          try
-            Ok
-              (block proc (fun fire ->
-                   Hashtbl.replace host.pendings txn
-                     {
-                       p_fire = fire;
-                       p_buffer = buffer;
-                       p_retransmit = None;
-                       p_timeout = None;
-                     };
-                   dispatch_local_request host ~txn ~sender:proc.pid ~target_proc msg))
-          with Ipc_error e -> Error e
-        in
-        drop_pending host ~txn;
-        result
-      end
+        transact proc ~txn ~buffer (fun host txn _ ->
+            dispatch_local_request host ~txn ~sender:proc.pid ~target_proc msg)
   | Some target_proc ->
-      send_remote proc ?buffer ~dst_addr:target_proc.proc_host.addr ~target msg
+      send_remote proc ~buffer ~dst_addr:target_proc.proc_host.addr ~target msg
   | None -> (
       (* No live process under this pid. If its logical host was retired
          by a crash, the kernel cannot know that authoritatively (no
@@ -907,26 +794,30 @@ let send proc ?buffer target msg =
          or of a never-issued logical host — is refused directly. *)
       match Hashtbl.find_opt d.retired_logical_hosts (Pid.logical_host target) with
       | Some dst_addr when dst_addr <> host.addr ->
-          send_remote proc ?buffer ~dst_addr ~target msg
+          send_remote proc ~buffer ~dst_addr ~target msg
       | Some _ | None -> Error Nonexistent_process)
+
+(* The epilogue both receive paths share: count and trace the delivery
+   and hand it to the receiver. *)
+let received proc delivery =
+  let host = proc.proc_host in
+  count_ipc host ipc_receive;
+  if tracing host.domain then
+    trace host.domain "Receive %a <- %a" Pid.pp proc.pid Pid.pp
+      delivery.d_sender;
+  (delivery.d_msg, delivery.d_sender)
 
 (* [receive proc] blocks until a message arrives; returns it with the
    sender's pid. *)
 let receive proc =
   check_alive proc;
-  let d =
-    match take_delivery proc with
+  received proc
+    (match take_delivery proc with
     | Some delivery -> delivery
     | None ->
         block proc (fun fire ->
             proc.recv_filter <- None;
-            proc.recv_waiter <- Some fire)
-  in
-  count_receive proc.proc_host;
-  if tracing proc.proc_host.domain then
-    trace proc.proc_host.domain "Receive %a <- %a" Pid.pp proc.pid Pid.pp
-      d.d_sender;
-  (d.d_msg, d.d_sender)
+            proc.recv_waiter <- Some fire))
 
 (* Blocks until a message from a sender satisfying [from] arrives.
    Other messages stay queued. *)
@@ -953,15 +844,13 @@ let receive_where proc ~from =
         | Some ad -> find_queued_in ad.ad_bulk
         | None -> None)
   in
-  let d =
-    match find_queued () with
+  received proc
+    (match find_queued () with
     | Some delivery -> delivery
     | None ->
         block proc (fun fire ->
             proc.recv_filter <- Some from;
-            proc.recv_waiter <- Some fire)
-  in
-  (d.d_msg, d.d_sender)
+            proc.recv_waiter <- Some fire))
 
 (* [reply proc ~to_ msg] completes the transaction with blocked sender
    [to_]. *)
@@ -973,7 +862,7 @@ let reply proc ~to_ msg =
   | None -> Error Not_awaiting_reply
   | Some txn -> (
       Hashtbl.remove host.serving (to_, proc.pid);
-      count_reply host;
+      count_ipc host ipc_reply;
       if tracing d then trace d "Reply %a -> %a" Pid.pp proc.pid Pid.pp to_;
       match find_process d to_ with
       | None -> Ok () (* sender died while blocked; nothing to resume *)
@@ -983,16 +872,8 @@ let reply proc ~to_ msg =
           Ok ()
       | Some sender_proc ->
           charge proc Calibration.small_packet_send_cpu;
-          let packet = Reply_pkt { txn; replier = proc.pid; msg } in
-          let bytes = message_payload_bytes d msg in
-          let dst = sender_proc.proc_host.addr in
-          (* Keep the reply for replay if the frame is lost and the
-             sender retransmits (bounded cache: duplicate suppression is
-             only needed within the retransmission window). *)
-          if Hashtbl.length host.completed_replies > 4096 then
-            Hashtbl.reset host.completed_replies;
-          Hashtbl.replace host.completed_replies txn (dst, packet, bytes);
-          transmit host ~dst:(Ethernet.Unicast dst) ~payload_bytes:bytes packet;
+          transmit_reply host ~txn ~replier:proc.pid
+            ~dst:sender_proc.proc_host.addr msg;
           Ok ())
 
 (* [forward proc ~from_ ~to_ msg] passes the transaction on: [to_] sees
@@ -1029,18 +910,29 @@ let forward proc ~from_ ~to_ msg =
       | Some target_proc ->
           charge proc Calibration.small_packet_send_cpu;
           let dst_addr = target_proc.proc_host.addr in
-          let resend () =
+          let send_it attempt =
+            if attempt > 0 && obs_events_on host then
+              event_log host ~cat:Vobs.Eventlog.Kernel
+                "forward-recovery-probe txn %d (attempt %d)" txn attempt;
             dispatch_remote_request host ~dst_addr ~txn ~sender:from_
               ~target:to_ msg
           in
-          resend ();
+          send_it 0;
           (* A sender on this very host submitted the transaction via
-             the local path, which arms no retransmission or timeout;
-             now that the transaction has left the host, give it the
-             slow recovery chain. Remote-origin senders already
-             retransmit and time out from their own host. *)
+             the local path, which arms no retransmission or timeout —
+             local delivery cannot lose frames. Now that the transaction
+             has left the host, the reply leg is lossy: a dropped reply
+             frame would block the sender forever. So it gets the probe
+             loop, at the timeout pace, and every probe resends the
+             request: the target's completed-reply cache replays a lost
+             reply, its duplicate suppression absorbs the rest, and the
+             transaction times out once the target is unreachable.
+             Fault-free forwards complete before the first probe fires.
+             Remote-origin senders already retransmit and time out from
+             their own host. *)
           (match Hashtbl.find_opt host.pendings txn with
-          | Some pending -> arm_forward_recovery host ~txn pending ~dst_addr resend
+          | Some pending ->
+              arm_timeout host ~txn pending ~dst_addr ~on_probe:send_it
           | None -> ());
           Ok ())
 
@@ -1087,16 +979,6 @@ let clear_admission d pid =
           proc.admission <- None;
           d.tel_watched <- List.filter (fun (_, p) -> p <> pid) d.tel_watched)
 
-(* Undelivered requests queued at [pid], both lanes. *)
-let queue_depth d pid =
-  match find_process d pid with
-  | None -> 0
-  | Some proc ->
-      Queue.length proc.queue
-      + (match proc.admission with
-        | Some ad -> Queue.length ad.ad_bulk
-        | None -> 0)
-
 (* [(admitted, shed)] since the hook was installed; [(0, 0)] without
    one. *)
 let admission_counters d pid =
@@ -1133,18 +1015,24 @@ let stream_chunks src_host ~dst_addr data mk_packet =
         end)
   done
 
-(* [move_from proc ~sender ~len] reads [len] bytes from the buffer the
-   blocked sender exposed. The caller must currently be serving
-   [sender]. *)
-let move_from proc ~sender ~len =
+(* The part MoveFrom and MoveTo share. [proc] must be serving
+   [sender]. A sender on this host exposes its buffer directly: [len]
+   bytes must fit it, [local] does the copy after the per-page CPU is
+   charged. A remote sender's buffer is reached by [remote ~txn addr],
+   which runs the wire protocol towards the sender's host. *)
+let move proc ~sender ~len ~to_sender ~local ~remote =
   check_alive proc;
   let host = proc.proc_host in
   let d = host.domain in
   match Hashtbl.find_opt host.serving (sender, proc.pid) with
   | None -> Error Not_awaiting_reply
   | Some txn -> (
-      count_op host "move-from";
-      trace d "MoveFrom %a <- %a (%dB)" Pid.pp proc.pid Pid.pp sender len;
+      let op, verb, arrow =
+        if to_sender then ("move-to", "MoveTo", "->")
+        else ("move-from", "MoveFrom", "<-")
+      in
+      count_op host op;
+      trace d "%s %a %s %a (%dB)" verb Pid.pp proc.pid arrow Pid.pp sender len;
       match find_process d sender with
       | None -> Error Nonexistent_process
       | Some sender_proc when sender_proc.proc_host == host -> (
@@ -1155,109 +1043,81 @@ let move_from proc ~sender ~len =
               if len > Bytes.length buf then Error Bad_buffer
               else begin
                 charge proc
-                  (float_of_int (pages_of_bytes len) *. Calibration.local_move_page_cpu);
-                Ok (Bytes.sub buf 0 len)
+                  (float_of_int (pages_of_bytes len)
+                  *. Calibration.local_move_page_cpu);
+                Ok (local buf)
               end)
-      | Some sender_proc -> (
-          let remote = sender_proc.proc_host in
-          let mv = fresh_mv d in
-          charge proc Calibration.small_packet_send_cpu;
-          try
-            Ok
-              (block proc (fun fire ->
-                   let op =
-                     { mv_fire = fire; mv_buf = Buffer.create len; mv_timer = None }
-                   in
-                   Hashtbl.replace host.moves mv op;
-                   transmit host ~dst:(Ethernet.Unicast remote.addr)
-                     ~payload_bytes:control_payload_bytes
-                     (Move_request { txn; mv; mover_addr = host.addr; len });
-                   op.mv_timer <-
-                     Some
-                       (Engine.timer ~delay:Calibration.ipc_timeout_ms d.engine
-                          (fun () ->
-                            match take_move host ~mv with
-                            | None -> ()
-                            | Some op -> op.mv_fire (Error (Ipc_error Timeout))))))
-          with Ipc_error e ->
-            ignore (take_move host ~mv : 'm move_op option);
-            Error e))
+      | Some sender_proc -> remote ~txn sender_proc.proc_host.addr)
+
+(* Block until move [mv] completes: the data a MoveFrom asked for, or
+   the ack that ends a MoveTo. Fails with Timeout if neither arrives in
+   time. *)
+let await_move proc ~mv ~len =
+  let host = proc.proc_host in
+  try
+    Ok
+      (block proc (fun fire ->
+           let op =
+             { mv_fire = fire; mv_buf = Buffer.create len; mv_timer = None }
+           in
+           Hashtbl.replace host.moves mv op;
+           op.mv_timer <-
+             Some
+               (Engine.timer ~delay:Calibration.ipc_timeout_ms
+                  host.domain.engine (fun () ->
+                    match take_move host ~mv with
+                    | None -> ()
+                    | Some op -> op.mv_fire (Error (Ipc_error Timeout))))))
+  with Ipc_error e ->
+    ignore (take_move host ~mv : 'm move_op option);
+    Error e
+
+(* [move_from proc ~sender ~len] reads [len] bytes from the buffer the
+   blocked sender exposed. The caller must currently be serving
+   [sender]. *)
+let move_from proc ~sender ~len =
+  move proc ~sender ~len ~to_sender:false
+    ~local:(fun buf -> Bytes.sub buf 0 len)
+    ~remote:(fun ~txn remote_addr ->
+      let host = proc.proc_host in
+      let mv = fresh_mv host.domain in
+      charge proc Calibration.small_packet_send_cpu;
+      transmit host ~dst:(Ethernet.Unicast remote_addr)
+        ~payload_bytes:control_payload_bytes
+        (Move_request { txn; mv; mover_addr = host.addr; len });
+      await_move proc ~mv ~len)
 
 (* [move_to proc ~sender data] writes [data] into the blocked sender's
    exposed buffer. *)
 let move_to proc ~sender data =
-  check_alive proc;
-  let host = proc.proc_host in
-  let d = host.domain in
-  match Hashtbl.find_opt host.serving (sender, proc.pid) with
-  | None -> Error Not_awaiting_reply
-  | Some txn -> (
-      count_op host "move-to";
-      trace d "MoveTo %a -> %a (%dB)" Pid.pp proc.pid Pid.pp sender
-        (Bytes.length data);
-      match find_process d sender with
-      | None -> Error Nonexistent_process
-      | Some sender_proc when sender_proc.proc_host == host -> (
-          match Hashtbl.find_opt host.pendings txn with
-          | None -> Error Not_awaiting_reply
-          | Some { p_buffer = None; _ } -> Error Bad_buffer
-          | Some { p_buffer = Some buf; _ } ->
-              if Bytes.length data > Bytes.length buf then Error Bad_buffer
-              else begin
-                charge proc
-                  (float_of_int (pages_of_bytes (Bytes.length data))
-                  *. Calibration.local_move_page_cpu);
-                Bytes.blit data 0 buf 0 (Bytes.length data);
-                Ok ()
-              end)
-      | Some sender_proc ->
-          let remote = sender_proc.proc_host in
-          let mv = fresh_mv d in
-          let page = Calibration.bulk_packet_bytes in
-          let len = Bytes.length data in
-          let n = pages_of_bytes len in
-          (* The mover's own fiber paces the outgoing packets (it is the
-             mover's CPU that limits throughput), then blocks for the
-             completion ack. *)
-          let rec push i =
-            if i < n then begin
-              charge proc Calibration.bulk_packet_send_cpu;
-              let off = i * page in
-              let chunk_len = min page (len - off) in
-              transmit host ~dst:(Ethernet.Unicast remote.addr)
-                ~payload_bytes:(control_payload_bytes + chunk_len)
-                (Move_to_data
-                   {
-                     txn;
-                     mv;
-                     mover_addr = host.addr;
-                     seq = i;
-                     last = i = n - 1;
-                     data = Bytes.sub data off chunk_len;
-                   });
-              push (i + 1)
-            end
-          in
-          (try
-             push 0;
-             let (_ : bytes) =
-               block proc (fun fire ->
-                   let op =
-                     { mv_fire = fire; mv_buf = Buffer.create 0; mv_timer = None }
-                   in
-                   Hashtbl.replace host.moves mv op;
-                   op.mv_timer <-
-                     Some
-                       (Engine.timer ~delay:Calibration.ipc_timeout_ms d.engine
-                          (fun () ->
-                            match take_move host ~mv with
-                            | None -> ()
-                            | Some op -> op.mv_fire (Error (Ipc_error Timeout)))))
-             in
-             Ok ()
-           with Ipc_error e ->
-             ignore (take_move host ~mv : 'm move_op option);
-             Error e))
+  let len = Bytes.length data in
+  move proc ~sender ~len ~to_sender:true
+    ~local:(fun buf -> Bytes.blit data 0 buf 0 len)
+    ~remote:(fun ~txn remote_addr ->
+      let host = proc.proc_host in
+      let mv = fresh_mv host.domain in
+      let page = Calibration.bulk_packet_bytes in
+      let n = pages_of_bytes len in
+      (* The mover's own fiber paces the outgoing packets (it is the
+         mover's CPU that limits throughput), then blocks for the
+         completion ack. *)
+      for i = 0 to n - 1 do
+        charge proc Calibration.bulk_packet_send_cpu;
+        let off = i * page in
+        let chunk_len = min page (len - off) in
+        transmit host ~dst:(Ethernet.Unicast remote_addr)
+          ~payload_bytes:(control_payload_bytes + chunk_len)
+          (Move_to_data
+             {
+               txn;
+               mv;
+               mover_addr = host.addr;
+               seq = i;
+               last = i = n - 1;
+               data = Bytes.sub data off chunk_len;
+             })
+      done;
+      Result.map ignore (await_move proc ~mv ~len:0))
 
 (* --- service naming: SetPid / GetPid (§4.2) --- *)
 
@@ -1269,13 +1129,6 @@ let set_pid host ~service pid scope =
      one; Local and Remote registrations may coexist (§4.2). *)
   let entries = List.filter (fun (_, sc) -> sc <> scope) entries in
   Hashtbl.replace host.services service ((pid, scope) :: entries)
-
-let clear_pid host ~service pid =
-  match Hashtbl.find_opt host.services service with
-  | None -> ()
-  | Some entries ->
-      Hashtbl.replace host.services service
-        (List.filter (fun (p, _) -> not (Pid.equal p pid)) entries)
 
 let local_service_lookup host ~service ~origin =
   match Hashtbl.find_opt host.services service with
@@ -1305,14 +1158,6 @@ let clear_service_group d ~service = Hashtbl.remove d.service_groups service
 
 let service_group d ~service =
   Option.map (fun sg -> sg.sg_group) (Hashtbl.find_opt d.service_groups service)
-
-let service_group_policy d ~service =
-  Option.map (fun sg -> sg.sg_policy) (Hashtbl.find_opt d.service_groups service)
-
-let registered_service_groups d =
-  Hashtbl.fold (fun service sg acc -> (service, sg.sg_group) :: acc)
-    d.service_groups []
-  |> List.sort compare
 
 let local_group_members host ~group =
   match Hashtbl.find_opt host.group_members group with Some l -> l | None -> []
@@ -1562,10 +1407,26 @@ let leave_group host ~group pid =
       end
       else Hashtbl.replace host.group_members group members
 
+(* Deliver a group request to each live member on [host] itself (the
+   wire does not loop frames back to their source). A sender on [host]
+   pays the local IPC leg per member first; a request off the wire has
+   already paid its receive cost. *)
+let deliver_to_members host ~txn ~sender ~group ~local_leg msg =
+  List.iter
+    (fun pid ->
+      match Hashtbl.find host.processes (Pid.local_pid pid) with
+      | member when member.proc_alive && Pid.equal member.pid pid ->
+          if local_leg then
+            Engine.schedule ~delay:Calibration.local_ipc_leg_cpu
+              host.domain.engine (fun () ->
+                deliver host ~txn ~sender member member.queue msg)
+          else deliver host ~txn ~sender member member.queue msg
+      | _ -> ()
+      | exception Not_found -> ())
+    (local_group_members host ~group)
+
 (* [send_group proc ~group msg] multicasts to every member of the group
-   and blocks for the first reply, V's group-send semantics. Members on
-   the sender's own host are delivered directly (the wire does not loop
-   frames back). *)
+   and blocks for the first reply, V's group-send semantics. *)
 let send_group proc ~group msg =
   check_alive proc;
   let host = proc.proc_host in
@@ -1575,43 +1436,15 @@ let send_group proc ~group msg =
   if tracing d then trace d "GroupSend %a -> group%d" Pid.pp proc.pid group;
   charge proc Calibration.small_packet_send_cpu;
   let txn = fresh_txn d in
-  let result =
-    try
-      Ok
-        (block proc (fun fire ->
-             let pending =
-               {
-                 p_fire = fire;
-                 p_buffer = None;
-                 p_retransmit = None;
-                 p_timeout = None;
-               }
-             in
-             Hashtbl.replace host.pendings txn pending;
-             (* local members *)
-             List.iter
-               (fun member_pid ->
-                 match find_process d member_pid with
-                 | Some member when member.proc_host == host ->
-                     Engine.schedule ~delay:Calibration.local_ipc_leg_cpu d.engine
-                       (fun () ->
-                         register_serving host ~sender:proc.pid
-                           ~receiver:member.pid ~txn;
-                         deliver member { d_sender = proc.pid; d_msg = msg })
-                 | Some _ | None -> ())
-               (local_group_members host ~group);
-             transmit host ~dst:(Ethernet.Multicast group)
-               ~payload_bytes:(message_payload_bytes d msg)
-               (Group_request { txn; sender = proc.pid; group; msg });
-             pending.p_timeout <-
-               Some
-                 (Engine.timer ~delay:Calibration.getpid_timeout_ms d.engine
-                    (fun () ->
-                      fill_pending host ~txn (Error (Ipc_error No_reply))))))
-    with Ipc_error e -> Error e
-  in
-  drop_pending host ~txn;
-  result
+  transact proc ~txn ~buffer:None (fun host txn pending ->
+      deliver_to_members host ~txn ~sender:proc.pid ~group ~local_leg:true msg;
+      transmit host ~dst:(Ethernet.Multicast group)
+        ~payload_bytes:(message_payload_bytes host.domain msg)
+        (Group_request { txn; sender = proc.pid; group; msg });
+      pending.p_timeout <-
+        Some
+          (Engine.timer ~delay:Calibration.getpid_timeout_ms host.domain.engine
+             (fun () -> fill_pending host ~txn (Error (Ipc_error No_reply)))))
 
 (* [forward_group proc ~from_ ~group msg] forwards the transaction of
    blocked sender [from_] to every member of a process group; whichever
@@ -1631,17 +1464,7 @@ let forward_group proc ~from_ ~group msg =
         trace d "ForwardGroup %a: %a -> group%d" Pid.pp proc.pid Pid.pp from_
           group;
       charge proc Calibration.small_packet_send_cpu;
-      (* Members on this host are delivered directly (no wire loopback). *)
-      List.iter
-        (fun member_pid ->
-          match find_process d member_pid with
-          | Some member when member.proc_host == host ->
-              Engine.schedule ~delay:Calibration.local_ipc_leg_cpu d.engine
-                (fun () ->
-                  register_serving host ~sender:from_ ~receiver:member.pid ~txn;
-                  deliver member { d_sender = from_; d_msg = msg })
-          | Some _ | None -> ())
-        (local_group_members host ~group);
+      deliver_to_members host ~txn ~sender:from_ ~group ~local_leg:true msg;
       transmit host ~dst:(Ethernet.Multicast group)
         ~payload_bytes:(message_payload_bytes d msg)
         (Group_request { txn; sender = from_; group; msg });
@@ -1768,16 +1591,8 @@ let handle_packet host (frame : 'm packet Ethernet.frame) =
               | Error e -> op.mv_fire (Error (Ipc_error e))))
   | Group_request { txn; sender; group; msg } ->
       Engine.schedule ~delay:(remote_recv_cost d msg) d.engine (fun () ->
-          if host.host_up then begin
-            List.iter
-              (fun member_pid ->
-                match Hashtbl.find_opt host.processes (Pid.local_pid member_pid) with
-                | Some member when member.proc_alive ->
-                    register_serving host ~sender ~receiver:member.pid ~txn;
-                    deliver member { d_sender = sender; d_msg = msg }
-                | Some _ | None -> ())
-              (local_group_members host ~group)
-          end)
+          if host.host_up then
+            deliver_to_members host ~txn ~sender ~group ~local_leg:false msg)
 
 (* --- domain and host lifecycle --- *)
 
@@ -1844,17 +1659,7 @@ let boot_host d ~name addr =
       completed_replies = Hashtbl.create 64;
       group_members = Hashtbl.create 8;
       host_prng = Vsim.Prng.split d.domain_prng;
-      host_hot = None;
-      h_sends = 0;
-      h_receives = 0;
-      h_replies = 0;
-      h_admits = 0;
-      h_sheds = 0;
-      h_sends_flushed = 0;
-      h_receives_flushed = 0;
-      h_replies_flushed = 0;
-      h_admits_flushed = 0;
-      h_sheds_flushed = 0;
+      ipc_counts = Vobs.Deferred.create (Array.length ipc_ops);
     }
   in
   Hashtbl.replace d.all_hosts addr host;

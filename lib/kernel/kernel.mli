@@ -65,7 +65,6 @@ val host_name : 'm host -> string
 val host_is_up : 'm host -> bool
 val domain_of_host : 'm host -> 'm domain
 val engine_of_domain : 'm domain -> Vsim.Engine.t
-val net_of_domain : 'm domain -> 'm packet Vnet.Ethernet.t
 val set_trace : 'm domain -> Vsim.Trace.t -> unit
 
 (** Attach an observability hub to the domain: kernel primitives count
@@ -110,7 +109,6 @@ val ipc_transaction_count : 'm domain -> int
 val enable_telemetry : 'm domain -> interval_ms:float -> unit
 
 val disable_telemetry : 'm domain -> unit
-val telemetry_enabled : 'm domain -> bool
 
 (** The {!Vobs.Rollup.group_of} function for this domain: kernel host
     names group by edge switch (switched fabric) or 1024-host address
@@ -142,7 +140,6 @@ val self_host_name : 'm self -> string
 val host_of_self : 'm self -> 'm host
 val domain_of_self : 'm self -> 'm domain
 val alive : 'm domain -> Pid.t -> bool
-val find_process : 'm domain -> Pid.t -> 'm self option
 
 (** Kill one process (its fiber unwinds with [Vsim.Proc.Killed] at its
     next suspension point). [false] if the pid names no live process. *)
@@ -232,9 +229,6 @@ val move_to : 'm self -> sender:Pid.t -> bytes -> (unit, error) result
     Local and Remote registrations coexist. *)
 val set_pid : 'm host -> service:int -> Pid.t -> Service.scope -> unit
 
-(** Remove [pid]'s registrations for [service] on this host. *)
-val clear_pid : 'm host -> service:int -> Pid.t -> unit
-
 (** Look up a service: the local table first, then (unless scope is
     [Local]) a broadcast query answered by the first kernel with a
     Remote/Both registration. With the GetPid cache enabled, a prior
@@ -290,10 +284,6 @@ val register_service_group :
 val clear_service_group : 'm domain -> service:int -> unit
 
 val service_group : 'm domain -> service:int -> int option
-val service_group_policy : 'm domain -> service:int -> Balancer.policy option
-
-(** All (service, group) bindings, sorted. *)
-val registered_service_groups : 'm domain -> (int * int) list
 
 (** The live members of [service]'s group visible from [requester]: on
     an up host, not partitioned away from it, process alive — sorted by

@@ -50,20 +50,8 @@ type 'a host_port = {
   mutable handler : 'a frame -> unit;
   mutable extra_latency_ms : float;
       (* slow-host fault injection: added to every frame's arrival *)
-  (* Per-frame wire counters accumulate in place — the port record is
-     already in cache on every transmit/delivery, so counting costs one
-     register add and no branch. [flush_metrics] moves the deltas into
-     the registry at scrape time (the Prometheus model: instrument
-     locally, aggregate on scrape). *)
-  mutable p_sent : int;
-  mutable p_bytes : int;
-  mutable p_delivered : int;
-  mutable p_sent_flushed : int;
-  mutable p_bytes_flushed : int;
-  mutable p_delivered_flushed : int;
-  mutable hot : Vobs.Metrics.counter array;
-      (* cached flush handles: [|sent; bytes; delivered|], bound on
-         first flush with a hub attached, cleared by set_obs *)
+  wire : Vobs.Deferred.t;
+      (* per-frame counters, in [wire_ops] order; see [flush_metrics] *)
 }
 
 (* One directed link of the switched fabric. [l_queued] counts frames
@@ -141,76 +129,41 @@ let create ?(seed = 1) ?(topology = Topology.Shared_medium) ?(queue_cap = 256)
   }
 
 let set_trace t trace = t.trace <- Some trace
-let set_obs t hub =
-  t.obs <- Some hub;
-  (* Cached per-frame handles belong to the previous hub's registry. *)
-  Hashtbl.iter (fun _ port -> port.hot <- [||]) t.hosts
+let set_obs t hub = t.obs <- Some hub
 
-(* Per-host wire metrics, keyed under server "net". The address stands
-   in for the host name — this layer sits below the kernel and has no
-   better label. *)
-let net_metric ?(by = 1) t addr op =
+(* Per-host wire metrics are keyed under server "net". The address
+   stands in for the host name — this layer sits below the kernel and
+   has no better label. *)
+let host_label addr = Printf.sprintf "host%d" addr
+
+let net_metric t addr op =
   match t.obs with
   | None -> ()
   | Some hub ->
-      Vobs.Metrics.incr (Vobs.Hub.metrics hub) ~by
-        ~host:(Printf.sprintf "host%d" addr)
+      Vobs.Metrics.incr (Vobs.Hub.metrics hub) ~host:(host_label addr)
         ~server:"net" ~op
 
-(* The per-frame counters (sent, bytes, delivered — every frame pays
-   them) accumulate on the port record itself; [flush_metrics] moves
-   the deltas into the registry through handles cached on the port.
-   Rarer paths (drops, losses) stay on the keyed [net_metric]. *)
-let hot_sent = 0
+(* The per-frame counters (every frame pays them) are deferred: they
+   accumulate on the port and [flush_metrics] moves them into the
+   registry at scrape points (exports, the kernel pump's owner), never
+   per frame. Rarer paths (drops, losses) stay on the keyed
+   [net_metric]. *)
+let wire_ops = [| "frames-sent"; "bytes-sent"; "frames-delivered" |]
 
-let hot_bytes = 1
-let hot_delivered = 2
+let w_sent = 0
+let w_bytes = 1
+let w_delivered = 2
 
-let port_handles t port =
-  if Array.length port.hot > 0 then port.hot
-  else begin
-    match t.obs with
-    | None -> [||]
-    | Some hub ->
-        let m = Vobs.Hub.metrics hub in
-        let host = Printf.sprintf "host%d" port.host_addr in
-        let mk op = Vobs.Metrics.counter m ~host ~server:"net" ~op in
-        let hot =
-          [| mk "frames-sent"; mk "bytes-sent"; mk "frames-delivered" |]
-        in
-        port.hot <- hot;
-        hot
-  end
-
-(* Move each port's wire-counter deltas since the previous flush into
-   the registry. Called at scrape points (exports, the kernel pump's
-   owner), never per frame; pure bookkeeping, so a flush at any instant
-   leaves simulated behaviour untouched. *)
 let flush_metrics t =
   match t.obs with
   | None -> ()
-  | Some _ ->
+  | Some hub ->
+      let m = Vobs.Hub.metrics hub in
       Hashtbl.iter
-        (fun _ port ->
-          if
-            port.p_sent > port.p_sent_flushed
-            || port.p_bytes > port.p_bytes_flushed
-            || port.p_delivered > port.p_delivered_flushed
-          then begin
-            let hot = port_handles t port in
-            if Array.length hot > 0 then begin
-              Vobs.Metrics.add ~by:(port.p_sent - port.p_sent_flushed)
-                hot.(hot_sent);
-              Vobs.Metrics.add ~by:(port.p_bytes - port.p_bytes_flushed)
-                hot.(hot_bytes);
-              Vobs.Metrics.add
-                ~by:(port.p_delivered - port.p_delivered_flushed)
-                hot.(hot_delivered);
-              port.p_sent_flushed <- port.p_sent;
-              port.p_bytes_flushed <- port.p_bytes;
-              port.p_delivered_flushed <- port.p_delivered
-            end
-          end)
+        (fun addr port ->
+          Vobs.Deferred.flush port.wire m
+            ~host:(fun () -> host_label addr)
+            ~server:"net" ~ops:wire_ops)
         t.hosts
 
 (* Flight-recorder events for the wire: frames lost or dropped,
@@ -228,8 +181,6 @@ let net_event t host fmt =
             ~cat:Vobs.Eventlog.Net ~host label)
         fmt
   | Some _ | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-
-let host_label addr = Printf.sprintf "host%d" addr
 
 let config t = t.config
 
@@ -254,13 +205,7 @@ let attach t addr handler =
       up = true;
       handler;
       extra_latency_ms = 0.0;
-      p_sent = 0;
-      p_bytes = 0;
-      p_delivered = 0;
-      p_sent_flushed = 0;
-      p_bytes_flushed = 0;
-      p_delivered_flushed = 0;
-      hot = [||];
+      wire = Vobs.Deferred.create (Array.length wire_ops);
     }
 
 let set_handler t addr handler =
@@ -378,11 +323,6 @@ let set_link_extra_latency t a b ms =
   l.l_extra_ms <- ms;
   net_event t "net" "link %a extra latency := %.3fms" Topology.pp_link (a, b) ms
 
-let link_extra_latency t a b =
-  match Hashtbl.find_opt t.links (a, b) with
-  | Some l -> l.l_extra_ms
-  | None -> 0.0
-
 let link_stats t =
   Hashtbl.fold
     (fun key l acc ->
@@ -497,11 +437,6 @@ let set_extra_latency t addr ms =
       trace_emit t "host%d extra receive latency := %.3fms" addr ms;
       net_event t (host_label addr) "extra receive latency := %.3fms" ms
 
-let extra_latency t addr =
-  match Hashtbl.find_opt t.hosts addr with
-  | Some port -> port.extra_latency_ms
-  | None -> 0.0
-
 let partition t a b =
   let pair = if a < b then (a, b) else (b, a) in
   if not (List.mem pair t.partitions) then begin
@@ -515,8 +450,6 @@ let heal t a b =
     t.partitions <- List.filter (fun p -> p <> pair) t.partitions;
     net_event t "net" "heal host%d <-> host%d" (fst pair) (snd pair)
   end
-
-let heal_all t = t.partitions <- []
 
 let partitioned t a b =
   let pair = if a < b then (a, b) else (b, a) in
@@ -583,7 +516,7 @@ let deliver_at_arrival t frame addr =
   | Some port when port.up && not (partitioned t frame.src addr) ->
       let deliver () =
         t.counters.frames_delivered <- t.counters.frames_delivered + 1;
-        port.p_delivered <- port.p_delivered + 1;
+        Vobs.Deferred.incr port.wire w_delivered;
         port.handler frame
       in
       if port.extra_latency_ms > 0.0 then
@@ -733,8 +666,9 @@ let transmit t frame =
     t.counters.frames_sent <- t.counters.frames_sent + 1;
     t.counters.bytes_sent <-
       t.counters.bytes_sent + t.config.header_bytes + frame.payload_bytes;
-    port.p_sent <- port.p_sent + 1;
-    port.p_bytes <- port.p_bytes + t.config.header_bytes + frame.payload_bytes;
+    Vobs.Deferred.incr port.wire w_sent;
+    Vobs.Deferred.add port.wire w_bytes
+      (t.config.header_bytes + frame.payload_bytes);
     trace_emit t "host%d -> %a (%dB payload)" frame.src pp_dest frame.dst
       frame.payload_bytes;
     match t.topology with

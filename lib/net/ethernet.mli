@@ -16,8 +16,6 @@ type addr = int
 
 type dest = Unicast of addr | Broadcast | Multicast of int
 
-val pp_dest : Format.formatter -> dest -> unit
-
 type 'a frame = { src : addr; dst : dest; payload : 'a; payload_bytes : int }
 
 type counters = {
@@ -117,14 +115,10 @@ val loss_probability : 'a t -> float
     value or an unknown host. *)
 val set_extra_latency : 'a t -> addr -> float -> unit
 
-(** Current extra receive latency of a host (0.0 if unknown). *)
-val extra_latency : 'a t -> addr -> float
-
 (** Block frames between two hosts (both directions). *)
 val partition : 'a t -> addr -> addr -> unit
 
 val heal : 'a t -> addr -> addr -> unit
-val heal_all : 'a t -> unit
 val partitioned : 'a t -> addr -> addr -> bool
 
 (** {1 Link faults (switched fabric only)}
@@ -147,8 +141,6 @@ val link_up : 'a t -> Topology.node -> Topology.node -> bool
     [Invalid_argument] on a negative value. *)
 val set_link_extra_latency :
   'a t -> Topology.node -> Topology.node -> float -> unit
-
-val link_extra_latency : 'a t -> Topology.node -> Topology.node -> float
 
 (** Can frames currently flow from [a] to [b]? Host-pair partitions
     apply on both topologies; the switched fabric additionally requires

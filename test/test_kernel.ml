@@ -175,8 +175,15 @@ let test_receive_where () =
          match K.send self server "second" with
          | Ok (r, _) -> log := r :: !log
          | Error _ -> ()));
+  let hub = Vobs.Hub.create () in
+  K.set_obs rig.domain hub;
   Vsim.Engine.run rig.eng;
-  Alcotest.(check (list string)) "both served" [ "second"; "first" ] !log
+  Alcotest.(check (list string)) "both served" [ "second"; "first" ] !log;
+  (* Both receive paths count: one receive_where, one receive. *)
+  K.flush_metrics rig.domain;
+  Alcotest.(check int) "receives counted" 2
+    (Vobs.Metrics.counter_value (Vobs.Hub.metrics hub) ~host:"ws"
+       ~server:"kernel" ~op:"receive")
 
 (* --- Forward --- *)
 

@@ -240,27 +240,60 @@ let test_flush_metrics_deferred_and_idempotent () =
         in
         loop ())
   in
-  ignore
-    (K.spawn client_host ~name:"client" (fun self ->
-         for _ = 1 to 3 do
-           match K.send self server "ping" with
-           | Ok _ -> ()
-           | Error e -> Alcotest.failf "send failed: %a" K.pp_error e
-         done));
-  Vsim.Engine.run eng;
-  let m = Vobs.Hub.metrics hub in
-  let sends () =
-    Vobs.Metrics.counter_value m ~host:"cli" ~server:"kernel" ~op:"send"
+  (* [pings n] runs [n] remote transactions to completion: each is one
+     request frame from host 2 and one reply frame from host 1. *)
+  let pings n =
+    ignore
+      (K.spawn client_host ~name:"client" (fun self ->
+           for _ = 1 to n do
+             match K.send self server "ping" with
+             | Ok _ -> ()
+             | Error e -> Alcotest.failf "send failed: %a" K.pp_error e
+           done));
+    Vsim.Engine.run eng
   in
-  (* The IPC counters accumulate on the host record; the registry sees
-     nothing until a scrape point flushes the deltas. *)
-  Alcotest.(check int) "registry empty before the flush" 0 (sends ());
+  let frame_bytes =
+    C.ethernet_3mbit.C.header_bytes + 32 + String.length "ping"
+  in
+  (* The counts one hub's registry holds: kernel sends and receives,
+     and the client port's wire counters. *)
+  let counts hub =
+    let m = Vobs.Hub.metrics hub in
+    let kernel host op =
+      Vobs.Metrics.counter_value m ~host ~server:"kernel" ~op
+    in
+    let wire host op = Vobs.Metrics.counter_value m ~host ~server:"net" ~op in
+    [
+      kernel "cli" "send";
+      kernel "srv" "receive";
+      wire "host2" "frames-sent";
+      wire "host2" "bytes-sent";
+      wire "host2" "frames-delivered";
+    ]
+  in
+  let expect n = [ n; n; n; n * frame_bytes; n ] in
+  let check msg want hub = Alcotest.(check (list int)) msg want (counts hub) in
+  pings 3;
+  (* Both layers' counters accumulate on the host and port records; the
+     registry sees nothing until a scrape point flushes them. *)
+  check "registry empty before the flush" (expect 0) hub;
   K.flush_metrics domain;
-  Alcotest.(check int) "flush lands the send count" 3 (sends ());
-  Alcotest.(check int) "server receives flushed too" 3
-    (Vobs.Metrics.counter_value m ~host:"srv" ~server:"kernel" ~op:"receive");
+  check "flush lands kernel and wire counts" (expect 3) hub;
   K.flush_metrics domain;
-  Alcotest.(check int) "second flush adds nothing" 3 (sends ())
+  check "second flush adds nothing" (expect 3) hub;
+  (* Switch to a second hub mid-run, with counts not yet flushed: they
+     land in the new hub at its first flush, and the old hub keeps only
+     what it was flushed before the switch. *)
+  pings 2;
+  let hub2 = Vobs.Hub.create () in
+  K.set_obs domain hub2;
+  E.set_obs net hub2;
+  pings 4;
+  K.flush_metrics domain;
+  check "unflushed counts land in the new hub" (expect 6) hub2;
+  check "the old hub keeps its pre-switch counts" (expect 3) hub;
+  K.flush_metrics domain;
+  check "nothing is counted twice" (expect 6) hub2
 
 (* --- metric handles survive a registry mode switch --- *)
 
