@@ -149,27 +149,19 @@ let soak ~mode () =
         (Vsim.Prng.split prng)
     in
     let server = servers.((i + soak_fan_in) mod servers_n) in
-    (* The traced arm observes per-op latency through a handle bound
-       once per client — the realistic shape for a hot path. *)
-    let latency =
-      match (hub, mode) with
-      | Some h, Traced ->
-          Some
-            ( h,
-              Vobs.Metrics.observer (Vobs.Hub.metrics h) ~host:host_name
-                ~server:"echo" ~op:"rpc" )
-      | _ -> None
-    in
+    (* The traced arm records per-op latency with a keyed observe, the
+       way the client runtime records every named operation. *)
+    let traced = match mode with Traced -> hub | Bare | Soak_lane -> None in
     ignore
       (K.spawn host ~name:"cohort" (fun self ->
            for _ = 1 to ops_per_host do
              Vsim.Proc.delay eng (G.cohort_next_gap cohort);
-             match latency with
+             match traced with
              | None -> (
                  match K.send self server "ping" with
                  | Ok _ -> incr resolved
                  | Error _ -> incr failed)
-             | Some (h, o) ->
+             | Some h ->
                  (* A root trace per op: head sampling decides its
                     fate with a private PRNG — zero workload draws —
                     and the kept trace ids become exemplar
@@ -183,7 +175,9 @@ let soak ~mode () =
                    if ctx.Vobs.Span.trace > 0 then Some ctx.Vobs.Span.trace
                    else None
                  in
-                 Vobs.Metrics.record ?trace o (En.now eng -. t0)
+                 Vobs.Metrics.observe ?trace (Vobs.Hub.metrics h)
+                   ~host:host_name ~server:"echo" ~op:"rpc"
+                   (En.now eng -. t0)
            done))
   done;
   En.run eng;

@@ -95,6 +95,62 @@ let consumed_index req remaining =
   in
   max req.Csname.index (min index_to total)
 
+(* --- observability: per-server counters and one span per hop --- *)
+
+(* Count one operation against (host, this server's name, op) when a
+   hub is attached. *)
+let metric self op =
+  Vobs.Hub.count
+    (Kernel.obs (Kernel.domain_of_self self))
+    ~host:(Kernel.self_host_name self) ~server:(Kernel.self_name self) ~op
+
+(* A traced request's span for this server's hop, with the hub that
+   stores it. Every CSNH server — the generic loop below, the prefix
+   server, the domain servers — opens, closes and re-parents its hop
+   through these, off the simulation clock. *)
+module Hop = struct
+  type t = (Vobs.Hub.t * Vobs.Span.t) option
+
+  let now self =
+    Vsim.Engine.now (Kernel.engine_of_domain (Kernel.domain_of_self self))
+
+  (* An untraced request never gets a span, so the op name is only
+     looked up for traced ones. *)
+  let start self ?op (msg : Vmsg.t) (req : Csname.req) =
+    match Kernel.obs (Kernel.domain_of_self self) with
+    | Some hub when Vobs.Span.is_traced req.Csname.trace -> (
+        let op =
+          match op with Some op -> op | None -> Vmsg.Op.to_string msg.Vmsg.code
+        in
+        match
+          Vobs.Hub.start_span hub ~ctx:req.Csname.trace ~now:(now self) ~op
+            ~host:(Kernel.self_host_name self) ~server:(Kernel.self_name self)
+            ~pid:(Pid.to_int (Kernel.self_pid self))
+            ~context:req.Csname.context ~index_from:req.Csname.index
+        with
+        | Some span -> Some (hub, span)
+        | None -> None)
+    | Some _ | None -> None
+
+  let finish self hop ?index_to outcome =
+    match hop with
+    | Some (hub, span) ->
+        Vobs.Hub.finish hub span ~now:(now self) ?index_to ~outcome ()
+    | None -> ()
+
+  (* Attach a request this hop sends on to its span, so the next
+     server's span links back here. *)
+  let reparent self hop (req : Csname.req) =
+    match hop with
+    | Some (_, span) ->
+        { req with Csname.trace = Vobs.Hub.child_ctx span ~now:(now self) }
+    | None -> req
+
+  let forward self hop (req : Csname.req) =
+    finish self hop ~index_to:req.Csname.index "forward";
+    reparent self hop req
+end
+
 (* Handle one request according to the protocol; replies or forwards as
    appropriate. Exposed so servers with custom receive loops (e.g. the
    prefix server) can reuse it.
@@ -105,64 +161,30 @@ let consumed_index req remaining =
    the Forward chain. All of it is bookkeeping off the simulation
    clock, so timings are identical with tracing on or off. *)
 let handle_request self handlers stats ~sender (msg : Vmsg.t) =
-  let domain = Kernel.domain_of_self self in
-  let engine = Kernel.engine_of_domain domain in
+  let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
   let now () = Vsim.Engine.now engine in
   let charge ms = if ms > 0.0 then Vsim.Proc.delay engine ms in
-  let hub = Kernel.obs domain in
-  let metric op =
-    match hub with
-    | None -> ()
-    | Some h ->
-        Vobs.Metrics.incr (Vobs.Hub.metrics h)
-          ~host:(Kernel.self_host_name self)
-          ~server:(Kernel.self_name self) ~op
-  in
   Vsim.Stats.Counter.incr stats.requests;
   let reply_with m = ignore (Kernel.reply self ~to_:sender m) in
   match msg.Vmsg.name with
   | Some req when Vmsg.Op.is_csname_request msg.Vmsg.code ->
       let t0 = now () in
-      metric (Vmsg.Op.to_string msg.Vmsg.code);
-      let span =
-        match hub with
-        | None -> None
-        | Some h ->
-            Vobs.Hub.start_span h ~ctx:req.Csname.trace ~now:t0
-              ~op:(Vmsg.Op.to_string msg.Vmsg.code)
-              ~host:(Kernel.self_host_name self)
-              ~server:(Kernel.self_name self)
-              ~pid:(Pid.to_int (Kernel.self_pid self))
-              ~context:req.Csname.context ~index_from:req.Csname.index
-      in
-      let finish ?index_to outcome =
-        match (hub, span) with
-        | Some h, Some s -> Vobs.Hub.finish h s ~now:(now ()) ?index_to ~outcome ()
-        | _ -> ()
-      in
+      metric self (Vmsg.Op.to_string msg.Vmsg.code);
+      let hop = Hop.start self msg req in
       charge Calibration.csname_common_cpu;
       let lookup ctx component =
-        metric "lookup";
+        metric self "lookup";
         charge Calibration.component_lookup_cpu;
         handlers.lookup ctx component
       in
       (match walk ~valid_context:handlers.valid_context ~lookup req with
       | Fail code ->
-          finish (Reply.to_string code);
+          Hop.finish self hop (Reply.to_string code);
           reply_with (Vmsg.reply code)
       | Forward (spec, req') ->
           Vsim.Stats.Counter.incr stats.forwards;
-          metric "forward";
-          finish ~index_to:req'.Csname.index "forward";
-          (* Re-parent the forwarded request under this hop's span so
-             the next server's span links back here. *)
-          let req' =
-            match span with
-            | None -> req'
-            | Some s ->
-                { req' with Csname.trace = Vobs.Hub.child_ctx s ~now:(now ()) }
-          in
-          let msg' = Vmsg.with_name msg req' in
+          metric self "forward";
+          let msg' = Vmsg.with_name msg (Hop.forward self hop req') in
           (match
              Kernel.forward self ~from_:sender ~to_:spec.Context.server msg'
            with
@@ -195,10 +217,10 @@ let handle_request self handlers stats ~sender (msg : Vmsg.t) =
                 }
             else reply
           in
-          finish ~index_to outcome;
+          Hop.finish self hop ~index_to outcome;
           reply_with reply)
   | Some _ | None -> (
-      metric (Vmsg.Op.to_string msg.Vmsg.code);
+      metric self (Vmsg.Op.to_string msg.Vmsg.code);
       match handlers.handle_other ~sender msg with
       | Some reply -> reply_with reply
       | None -> reply_with (Vmsg.reply Reply.Bad_operation))

@@ -60,6 +60,35 @@ type server_stats = {
 
 val make_stats : string -> server_stats
 
+(** [metric self op] counts [op] against (this host, this server's
+    name) in the domain's hub, if one is attached. *)
+val metric : Vmsg.t Kernel.self -> string -> unit
+
+(** One span per CSNH hop. Every name server opens, closes and
+    re-parents its part of a traced request through these; all of it
+    is bookkeeping off the simulation clock. *)
+module Hop : sig
+  (** This hop's span and the hub storing it; [None] when the request
+      is untraced or no hub is attached. *)
+  type t
+
+  (** [start self ?op msg req] opens the hop's span, named [op]
+      (default: the name of [msg]'s operation). *)
+  val start : Vmsg.t Kernel.self -> ?op:string -> Vmsg.t -> Csname.req -> t
+
+  (** [finish self hop ?index_to outcome] closes the span with a reply
+      code string (or another outcome) and the name index reached. *)
+  val finish : Vmsg.t Kernel.self -> t -> ?index_to:int -> string -> unit
+
+  (** [reparent self hop req] is [req] carrying this hop's span as the
+      parent of whatever the next server does with it. *)
+  val reparent : Vmsg.t Kernel.self -> t -> Csname.req -> Csname.req
+
+  (** [forward self hop req] finishes the hop as ["forward"] at [req]'s
+      index and returns [req] re-parented, ready to forward. *)
+  val forward : Vmsg.t Kernel.self -> t -> Csname.req -> Csname.req
+end
+
 (** Handle one request: reply, or forward it along. Exposed for servers
     with custom receive loops (the prefix server, the mail server). *)
 val handle_request :

@@ -187,11 +187,6 @@ let find t name =
 
 let mem t key = Hashtbl.mem t.table (normalize_key key)
 
-let find_exact t key =
-  match Hashtbl.find_opt t.table (normalize_key key) with
-  | Some { value = Bound spec; _ } -> Some spec
-  | Some _ | None -> None
-
 (* --- the TTL-aware lookup --- *)
 
 type hit = {

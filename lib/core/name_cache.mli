@@ -60,10 +60,6 @@ val find : t -> string -> (string * Context.spec) option
 
 val mem : t -> string -> bool
 
-(** Exact-key lookup of a positive binding, without touching recency or
-    counters. *)
-val find_exact : t -> string -> Context.spec option
-
 (** What a TTL-aware lookup saw. *)
 type hit = {
   hkey : string;  (** the cached prefix matched *)

@@ -111,35 +111,14 @@ let directory_image t ~now =
 
 (* --- request handling --- *)
 
-(* Observability helpers: a per-hop span for the prefix server's part of
-   a traced request, metrics keyed by this server's name, and the trace
-   re-parenting applied to every forwarded request. Bookkeeping only —
-   none of it touches simulated time. *)
-
-let obs_metric self op =
-  match Kernel.obs (Kernel.domain_of_self self) with
-  | None -> ()
-  | Some hub ->
-      Vobs.Metrics.incr (Vobs.Hub.metrics hub)
-        ~host:(Kernel.self_host_name self)
-        ~server:(Kernel.self_name self) ~op
-
 (* Flight-recorder events from this server (e.g. replica fan-outs),
-   stamped with the request's trace id. The label is only built when
-   an attached hub's recorder is enabled. *)
+   stamped with the request's trace id. Counters and the per-hop span
+   are the generic CSNH ones ({!Csnh.metric}, {!Csnh.Hop}). *)
 let obs_event self ~cat ?(trace = 0) fmt =
-  match Kernel.obs (Kernel.domain_of_self self) with
-  | Some hub when Vobs.Eventlog.enabled (Vobs.Hub.events hub) ->
-      Format.kasprintf
-        (fun label ->
-          let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
-          Vobs.Hub.event hub
-            ~at:(Vsim.Engine.now engine)
-            ~cat
-            ~host:(Kernel.self_host_name self)
-            ~trace label)
-        fmt
-  | Some _ | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
+  let domain = Kernel.domain_of_self self in
+  Vobs.Hub.eventf (Kernel.obs domain)
+    ~at:(Vsim.Engine.now (Kernel.engine_of_domain domain))
+    ~cat ~host:(Kernel.self_host_name self) ~trace fmt
 
 (* A forward to a resolved binding failed: the kernel has already failed
    the sender's transaction, so the client sees the error and retries.
@@ -151,42 +130,8 @@ let forward_failed self target =
   | Logical { service; _ }
     when Kernel.getpid_cache_enabled (Kernel.domain_of_self self) ->
       Kernel.drop_cached_pid self ~service;
-      obs_metric self "logical-stale"
+      Csnh.metric self "logical-stale"
   | Logical _ | Static _ | Replicated _ -> ()
-
-let obs_start self (msg : Vmsg.t) (req : Csname.req) =
-  match Kernel.obs (Kernel.domain_of_self self) with
-  | None -> None
-  | Some hub ->
-      let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
-      Option.map
-        (fun span -> (hub, span))
-        (Vobs.Hub.start_span hub ~ctx:req.Csname.trace
-           ~now:(Vsim.Engine.now engine)
-           ~op:(Vmsg.Op.to_string msg.Vmsg.code)
-           ~host:(Kernel.self_host_name self)
-           ~server:(Kernel.self_name self)
-           ~pid:(Pid.to_int (Kernel.self_pid self))
-           ~context:req.Csname.context ~index_from:req.Csname.index)
-
-let obs_finish self span ?index_to outcome =
-  match span with
-  | None -> ()
-  | Some (hub, s) ->
-      let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
-      Vobs.Hub.finish hub s ~now:(Vsim.Engine.now engine) ?index_to ~outcome ()
-
-(* Attach the forwarded request to this hop's span (if traced), so the
-   next server's span links back here. *)
-let obs_reparent self span (req : Csname.req) =
-  match span with
-  | None -> req
-  | Some (_, s) ->
-      let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
-      {
-        req with
-        Csname.trace = Vobs.Hub.child_ctx s ~now:(Vsim.Engine.now engine);
-      }
 
 (* Write-all fan-out for a logical binding whose service is bound to a
    replica group (read-one/write-all). The prefix server acts as the
@@ -210,13 +155,13 @@ let obs_reparent self span (req : Csname.req) =
    origin's committed seq stream stays gap-free for the in-order guard.
    Serializing all writes for the service through this one process is
    what gives replicas an identical application order. *)
-let replicate_write t self ~sender ~span ~service ~context (msg : Vmsg.t) req =
+let replicate_write t self ~sender ~hop ~service ~context (msg : Vmsg.t) req =
   let d = Kernel.domain_of_self self in
-  obs_metric self "replicate-write";
+  Csnh.metric self "replicate-write";
   let origin = Pid.to_int (pid t) in
   let seq = t.next_wseq in
   t.next_wseq <- seq + 1;
-  let req = obs_reparent self span { req with Csname.context } in
+  let req = Csnh.Hop.reparent self hop { req with Csname.context } in
   let msg' = Vmsg.with_wseq (Vmsg.with_name msg req) { Vmsg.origin; seq } in
   Kernel.log_group_write d ~service ~origin ~seq msg';
   let requester = Kernel.host_addr (Kernel.host_of_self self) in
@@ -231,18 +176,18 @@ let replicate_write t self ~sender ~span ~service ~context (msg : Vmsg.t) req =
   let outcome member =
     match send_once member with
     | Ok (r, _) when is_gap r ->
-        obs_metric self "replicate-out-of-sync";
+        Csnh.metric self "replicate-out-of-sync";
         `Rejected
     | Ok (r, _) -> `Answered r
     | Error e1 -> (
-        obs_metric self "replicate-retry";
+        Csnh.metric self "replicate-retry";
         match send_once member with
         | Ok (r, _) when is_gap r ->
-            obs_metric self "replicate-out-of-sync";
+            Csnh.metric self "replicate-out-of-sync";
             `Rejected
         | Ok (r, _) -> `Answered r
         | Error e2 ->
-            obs_metric self "replicate-member-lost";
+            Csnh.metric self "replicate-member-lost";
             (* Nonexistent_process is authoritative (a kernel nack: no
                live process, nothing applied); anything else may have
                delivered the request and lost the reply. *)
@@ -259,8 +204,8 @@ let replicate_write t self ~sender ~span ~service ~context (msg : Vmsg.t) req =
   | Some r ->
       Kernel.commit_group_write d ~service ~origin ~seq;
       (match Vmsg.reply_code r with
-      | Some code -> obs_finish self span (Reply.to_string code)
-      | None -> obs_finish self span "reply");
+      | Some code -> Csnh.Hop.finish self hop (Reply.to_string code)
+      | None -> Csnh.Hop.finish self hop "reply");
       ignore (Kernel.reply self ~to_:sender r)
   | None ->
       if List.exists (function `Lost_ambiguous -> true | _ -> false) outcomes
@@ -269,7 +214,7 @@ let replicate_write t self ~sender ~span ~service ~context (msg : Vmsg.t) req =
         Kernel.abort_group_write d ~service ~origin ~seq;
         if t.next_wseq = seq + 1 then t.next_wseq <- seq
       end;
-      obs_finish self span (Reply.to_string Reply.No_server);
+      Csnh.Hop.finish self hop (Reply.to_string Reply.No_server);
       ignore (Kernel.reply self ~to_:sender (Vmsg.reply Reply.No_server))
 
 (* Is this CSname request a write against a logical binding whose
@@ -285,13 +230,13 @@ let replicated_write_target self (msg : Vmsg.t) = function
 let handle_prefixed t self ~sender (msg : Vmsg.t) req =
   let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
   Vsim.Stats.Counter.incr t.stats.Csnh.requests;
-  obs_metric self "prefix-lookup";
-  let span = obs_start self msg req in
+  Csnh.metric self "prefix-lookup";
+  let hop = Csnh.Hop.start self msg req in
   (* The prefix parse and request rewrite: the processing the paper
      measures as the 3.94-3.99 ms additive cost of prefixed Opens. *)
   Vsim.Proc.delay engine Calibration.prefix_parse_cpu;
   let reply_with code =
-    obs_finish self span (Reply.to_string code);
+    Csnh.Hop.finish self hop (Reply.to_string code);
     ignore (Kernel.reply self ~to_:sender (Vmsg.reply code))
   in
   match Csname.parse_prefix req with
@@ -304,9 +249,8 @@ let handle_prefixed t self ~sender (msg : Vmsg.t) req =
              the rewritten request; the first member to answer serves
              it. *)
           Vsim.Stats.Counter.incr t.stats.Csnh.forwards;
-          obs_metric self "forward";
-          obs_finish self span ~index_to:req'.Csname.index "forward";
-          let req' = obs_reparent self span { req' with Csname.context } in
+          Csnh.metric self "forward";
+          let req' = Csnh.Hop.forward self hop { req' with Csname.context } in
           ignore
             (Kernel.forward_group self ~from_:sender ~group
                (Vmsg.with_name msg req'))
@@ -314,16 +258,15 @@ let handle_prefixed t self ~sender (msg : Vmsg.t) req =
           match replicated_write_target self msg target with
           | Some (service, context) ->
               Vsim.Stats.Counter.incr t.stats.Csnh.forwards;
-              replicate_write t self ~sender ~span ~service ~context msg req'
+              replicate_write t self ~sender ~hop ~service ~context msg req'
           | None -> (
               match resolve self target with
               | Error code -> reply_with code
               | Ok spec -> (
                   Vsim.Stats.Counter.incr t.stats.Csnh.forwards;
-                  obs_metric self "forward";
-                  obs_finish self span ~index_to:req'.Csname.index "forward";
+                  Csnh.metric self "forward";
                   let req' =
-                    obs_reparent self span
+                    Csnh.Hop.forward self hop
                       { req' with Csname.context = spec.Context.context }
                   in
                   match
@@ -406,26 +349,28 @@ let handle_binding_name t self ~now (msg : Vmsg.t) name =
 
 (* An unprefixed CSname request interpreted in this server's (flat)
    context. Multi-component names descend through a binding into its
-   target server, like any other context pointer. *)
-let handle_unprefixed t self ~now ~sender (msg : Vmsg.t) req =
+   target server, like any other context pointer. [valid] is the
+   dispatcher's validation of [req]; a request that failed it (whether
+   prefixed or not) is answered here with the failure code. *)
+let handle_unprefixed t self ~now ~sender (msg : Vmsg.t) req valid =
   let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
   Vsim.Stats.Counter.incr t.stats.Csnh.requests;
-  obs_metric self (Vmsg.Op.to_string msg.Vmsg.code);
-  let span = obs_start self msg req in
+  Csnh.metric self (Vmsg.Op.to_string msg.Vmsg.code);
+  let hop = Csnh.Hop.start self msg req in
   Vsim.Proc.delay engine Calibration.csname_common_cpu;
   let reply_with m =
     (match Vmsg.reply_code m with
-    | Some code -> obs_finish self span (Reply.to_string code)
-    | None -> obs_finish self span "reply");
+    | Some code -> Csnh.Hop.finish self hop (Reply.to_string code)
+    | None -> Csnh.Hop.finish self hop "reply");
     ignore (Kernel.reply self ~to_:sender m)
   in
-  match Csname.validate req with
+  match valid with
   | Error code -> reply_with (Vmsg.reply code)
   | Ok () ->
       if req.Csname.context <> Context.Well_known.default then
         reply_with (Vmsg.reply Reply.Bad_context)
       else begin
-        obs_metric self "lookup";
+        Csnh.metric self "lookup";
         Vsim.Proc.delay engine Calibration.component_lookup_cpu;
         match Csname.components (Csname.remaining req) with
         | [] -> reply_with (handle_own_context t self ~now msg)
@@ -435,12 +380,11 @@ let handle_unprefixed t self ~now ~sender (msg : Vmsg.t) req =
             | None -> reply_with (Vmsg.reply Reply.Not_found)
             | Some (Replicated { group; context }) ->
                 Vsim.Stats.Counter.incr t.stats.Csnh.forwards;
-                obs_metric self "forward";
+                Csnh.metric self "forward";
                 let req' =
-                  { (Csname.advance_past req name) with Csname.context }
+                  Csnh.Hop.forward self hop
+                    { (Csname.advance_past req name) with Csname.context }
                 in
-                obs_finish self span ~index_to:req'.Csname.index "forward";
-                let req' = obs_reparent self span req' in
                 ignore
                   (Kernel.forward_group self ~from_:sender ~group
                      (Vmsg.with_name msg req'))
@@ -448,23 +392,21 @@ let handle_unprefixed t self ~now ~sender (msg : Vmsg.t) req =
                 match replicated_write_target self msg target with
                 | Some (service, context) ->
                     Vsim.Stats.Counter.incr t.stats.Csnh.forwards;
-                    replicate_write t self ~sender ~span ~service ~context msg
+                    replicate_write t self ~sender ~hop ~service ~context msg
                       (Csname.advance_past req name)
                 | None -> (
                     match resolve self target with
                     | Error code -> reply_with (Vmsg.reply code)
                     | Ok spec -> (
                         Vsim.Stats.Counter.incr t.stats.Csnh.forwards;
-                        obs_metric self "forward";
+                        Csnh.metric self "forward";
                         let req' =
                           {
                             (Csname.advance_past req name) with
                             Csname.context = spec.Context.context;
                           }
                         in
-                        obs_finish self span ~index_to:req'.Csname.index
-                          "forward";
-                        let req' = obs_reparent self span req' in
+                        let req' = Csnh.Hop.forward self hop req' in
                         match
                           Kernel.forward self ~from_:sender
                             ~to_:spec.Context.server (Vmsg.with_name msg req')
@@ -531,22 +473,26 @@ let start host ~owner ?(initial = []) () =
         let rec loop () =
           let msg, sender = Kernel.receive self in
           (match msg.Vmsg.name with
-          | Some req
-            when Vmsg.Op.is_csname_request msg.Vmsg.code
-                 && Csname.starts_with_prefix req ->
-              (* Prefixed names are forwarded wherever they lead, even
-                 for add/delete: "[fs0]x" adds a name in fs0's context,
-                 not a binding here. *)
-              handle_prefixed t self ~sender msg req
-          | Some req
-            when msg.Vmsg.code = Vmsg.Op.add_context_name
-                 || msg.Vmsg.code = Vmsg.Op.delete_context_name ->
-              (* Unprefixed: the binding itself is the subject (§5.7's
-                 optional operations). *)
-              Vsim.Stats.Counter.incr t.stats.Csnh.requests;
-              ignore (Kernel.reply self ~to_:sender (handle_binding_op t msg req))
-          | Some req when Vmsg.Op.is_csname_request msg.Vmsg.code ->
-              handle_unprefixed t self ~now ~sender msg req
+          | Some req when Vmsg.Op.is_csname_request msg.Vmsg.code -> (
+              (* Validate once, before anything reads the name at its
+                 index: an index outside the name must be answered, not
+                 raise in this server's fiber. *)
+              match Csname.validate req with
+              | Ok () when Csname.starts_with_prefix req ->
+                  (* Prefixed names are forwarded wherever they lead,
+                     even for add/delete: "[fs0]x" adds a name in fs0's
+                     context, not a binding here. *)
+                  handle_prefixed t self ~sender msg req
+              | Ok ()
+                when msg.Vmsg.code = Vmsg.Op.add_context_name
+                     || msg.Vmsg.code = Vmsg.Op.delete_context_name ->
+                  (* Unprefixed: the binding itself is the subject
+                     (§5.7's optional operations). *)
+                  Vsim.Stats.Counter.incr t.stats.Csnh.requests;
+                  ignore
+                    (Kernel.reply self ~to_:sender
+                       (handle_binding_op t msg req))
+              | valid -> handle_unprefixed t self ~now ~sender msg req valid)
           | Some _ | None ->
               Vsim.Stats.Counter.incr t.stats.Csnh.requests;
               let reply_msg =

@@ -85,19 +85,6 @@ let table t ctx = Hashtbl.find_opt t.contexts ctx
 
 (* --- building the tree (configuration, not protocol) --- *)
 
-let add_subcontext t ?(ctx = apex) component =
-  match table t ctx with
-  | None -> Error Reply.Bad_context
-  | Some tbl ->
-      if Hashtbl.mem tbl component then Error Reply.Duplicate_name
-      else begin
-        let id = t.next_ctx in
-        t.next_ctx <- id + 1;
-        Hashtbl.replace t.contexts id (Hashtbl.create 8);
-        Hashtbl.replace tbl component (Subcontext id);
-        Ok id
-      end
-
 (* Add or replace — replacement is how a parent re-stitches a
    delegation to a revived child's new pid. *)
 let set_entry t ?(ctx = apex) component entry =
@@ -109,16 +96,6 @@ let set_entry t ?(ctx = apex) component entry =
 
 let delegate t ?ctx component child = set_entry t ?ctx component (Child child)
 let bind t ?ctx component target = set_entry t ?ctx component (Bound target)
-
-let remove_entry t ?(ctx = apex) component =
-  match table t ctx with
-  | None -> Error Reply.Bad_context
-  | Some tbl ->
-      if Hashtbl.mem tbl component then begin
-        Hashtbl.remove tbl component;
-        Ok ()
-      end
-      else Error Reply.Not_found
 
 let entries t ?(ctx = apex) () =
   match table t ctx with
@@ -218,44 +195,18 @@ let handle_csname t (msg : Vmsg.t) ctx remaining =
    failure code. Costs are charged exactly like the generic loop's, so
    an iterative walk of the tree prices each level identically to a
    recursive hop. *)
-let handle_step t self ~sender (req : Csname.req) =
-  let domain = Kernel.domain_of_self self in
-  let engine = Kernel.engine_of_domain domain in
-  let now () = Vsim.Engine.now engine in
+let handle_step t self ~sender (msg : Vmsg.t) (req : Csname.req) =
+  let engine = Kernel.engine_of_domain (Kernel.domain_of_self self) in
   let charge ms = if ms > 0.0 then Vsim.Proc.delay engine ms in
-  let hub = Kernel.obs domain in
-  let metric op =
-    match hub with
-    | None -> ()
-    | Some h ->
-        Vobs.Metrics.incr (Vobs.Hub.metrics h)
-          ~host:(Kernel.self_host_name self)
-          ~server:(Kernel.self_name self) ~op
-  in
   Vsim.Stats.Counter.incr t.stats.requests;
-  metric "ResolveStep";
-  let t0 = now () in
-  let span =
-    match hub with
-    | None -> None
-    | Some h ->
-        Vobs.Hub.start_span h ~ctx:req.Csname.trace ~now:t0 ~op:"ResolveStep"
-          ~host:(Kernel.self_host_name self)
-          ~server:(Kernel.self_name self)
-          ~pid:(Pid.to_int (Kernel.self_pid self))
-          ~context:req.Csname.context ~index_from:req.Csname.index
-  in
-  let finish ?index_to outcome =
-    match (hub, span) with
-    | Some h, Some s -> Vobs.Hub.finish h s ~now:(now ()) ?index_to ~outcome ()
-    | _ -> ()
-  in
+  Csnh.metric self "ResolveStep";
+  let hop = Csnh.Hop.start self ~op:"ResolveStep" msg req in
   charge Calibration.csname_common_cpu;
   (* Record which entry kind caused a Cross, to tell a referral from a
      terminal leaf binding. *)
   let crossed_child = ref false in
   let lookup ctx component =
-    metric "lookup";
+    Csnh.metric self "lookup";
     charge Calibration.component_lookup_cpu;
     let r = lookup t ctx component in
     (match (r, table t ctx) with
@@ -269,21 +220,21 @@ let handle_step t self ~sender (req : Csname.req) =
   let reply_with m = ignore (Kernel.reply self ~to_:sender m) in
   match Csnh.walk ~valid_context:(valid_context t) ~lookup req with
   | Csnh.Fail code ->
-      finish (Reply.to_string code);
+      Csnh.Hop.finish self hop (Reply.to_string code);
       reply_with (Vmsg.reply code)
   | Csnh.Forward (spec, req') ->
       let upto = req'.Csname.index in
       if !crossed_child then begin
-        metric "referral";
-        finish ~index_to:upto "referral";
+        Csnh.metric self "referral";
+        Csnh.Hop.finish self hop ~index_to:upto "referral";
         reply_with
           (Vmsg.with_binding
              (Vmsg.ok ~payload:P_referral ())
              { Vmsg.upto; spec })
       end
       else begin
-        metric "terminal";
-        finish ~index_to:upto "terminal";
+        Csnh.metric self "terminal";
+        Csnh.Hop.finish self hop ~index_to:upto "terminal";
         reply_with
           (Vmsg.with_binding
              (Vmsg.ok ~payload:(Vmsg.P_context_spec spec) ())
@@ -292,15 +243,15 @@ let handle_step t self ~sender (req : Csname.req) =
   | Csnh.Local (ctx, []) ->
       let s = Context.spec ~server:(Kernel.self_pid self) ~context:ctx in
       let upto = String.length req.Csname.name in
-      metric "terminal";
-      finish ~index_to:upto "terminal";
+      Csnh.metric self "terminal";
+      Csnh.Hop.finish self hop ~index_to:upto "terminal";
       reply_with
         (Vmsg.with_binding
            (Vmsg.ok ~payload:(Vmsg.P_context_spec s) ())
            { Vmsg.upto; spec = s })
   | Csnh.Local (_, _ :: _) ->
       (* Components remain but none of them names a domain entry. *)
-      finish (Reply.to_string Reply.Not_found);
+      Csnh.Hop.finish self hop (Reply.to_string Reply.Not_found);
       reply_with (Vmsg.reply Reply.Not_found)
 
 let is_resolve_step (msg : Vmsg.t) =
@@ -326,7 +277,7 @@ let spawn_server host t =
           let msg, sender = Kernel.receive self in
           (if is_resolve_step msg then
              match msg.Vmsg.name with
-             | Some req -> handle_step t self ~sender req
+             | Some req -> handle_step t self ~sender msg req
              | None ->
                  ignore (Kernel.reply self ~to_:sender (Vmsg.reply Reply.Illegal_name))
            else Csnh.handle_request self handlers t.stats ~sender msg);

@@ -106,9 +106,6 @@ let create ?(capacity = Name_cache.default_capacity) ?(ttl_ms = default_ttl_ms)
 let prefix t = t.prefix
 let root t = t.root
 
-(* Point the resolver at a new root incarnation (after a root restart). *)
-let rebind_root t spec = t.root <- spec
-
 let cache t = t.cache
 let cache_stats t = Name_cache.stats t.cache
 
@@ -151,23 +148,15 @@ let skip_separators name i =
    records on the flight recorder; all off the simulated clock. --- *)
 
 let metric self op =
-  match Kernel.obs (Kernel.domain_of_self self) with
-  | None -> ()
-  | Some hub ->
-      Vobs.Metrics.incr (Vobs.Hub.metrics hub)
-        ~host:(Kernel.self_host_name self)
-        ~server:"resolver" ~op
+  Vobs.Hub.count
+    (Kernel.obs (Kernel.domain_of_self self))
+    ~host:(Kernel.self_host_name self) ~server:"resolver" ~op
 
 let obs_event self ~now ~trace fmt =
-  match Kernel.obs (Kernel.domain_of_self self) with
-  | Some hub when Vobs.Eventlog.enabled (Vobs.Hub.events hub) ->
-      Format.kasprintf
-        (fun label ->
-          Vobs.Hub.event hub ~at:now ~cat:Vobs.Eventlog.Client
-            ~host:(Kernel.self_host_name self)
-            ~trace label)
-        fmt
-  | Some _ | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
+  Vobs.Hub.eventf
+    (Kernel.obs (Kernel.domain_of_self self))
+    ~at:now ~cat:Vobs.Eventlog.Client ~host:(Kernel.self_host_name self) ~trace
+    fmt
 
 (* --- the iterative walk --- *)
 

@@ -34,9 +34,9 @@ let plan t = t.plan
 let record inj label =
   let now = Vsim.Engine.now (Scenario.(inj.scenario.engine)) in
   inj.applied <- (now, label) :: inj.applied;
-  Vobs.Hub.event
-    Scenario.(inj.scenario.obs)
-    ~at:now ~cat:Vobs.Eventlog.Fault ~host:"injector" label
+  Vobs.Hub.eventf
+    (Some Scenario.(inj.scenario.obs))
+    ~at:now ~cat:Vobs.Eventlog.Fault ~host:"injector" ~trace:0 "%s" label
 
 (* An applied (not skipped) action, kept structured for attribution. *)
 let applied inj (e : Plan.event) =
@@ -45,8 +45,8 @@ let applied inj (e : Plan.event) =
   record inj (Fmt.str "%a" Plan.pp_action e.Plan.action)
 
 let metric inj kind =
-  Vobs.Metrics.incr
-    (Vobs.Hub.metrics Scenario.(inj.scenario.obs))
+  Vobs.Hub.count
+    (Some Scenario.(inj.scenario.obs))
     ~host:"fault" ~server:"injector" ~op:kind
 
 let skip inj (e : Plan.event) reason =

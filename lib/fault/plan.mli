@@ -53,11 +53,6 @@ val loss_burst : at:float -> duration_ms:float -> p:float -> event list
 val slow_host :
   addr:Ethernet.addr -> at:float -> duration_ms:float -> ms:float -> event list
 
-val link_cut_heal : link:link -> at:float -> duration_ms:float -> event list
-
-val slow_link :
-  link:link -> at:float -> duration_ms:float -> ms:float -> event list
-
 (** {1 Seeded generation}
 
     A randomized sequence of episodes between [warmup_ms] and 90% of

@@ -244,10 +244,7 @@ let obs_on host = host.domain.domain_obs <> None
 (* The flight-recorder guard: [event_log] itself is a no-op when the
    recorder is off, but applying it to a format string still builds the
    continuation closures — this predicate lets call sites skip that. *)
-let obs_events_on host =
-  match host.domain.domain_obs with
-  | Some hub -> Vobs.Eventlog.enabled (Vobs.Hub.events hub)
-  | None -> false
+let obs_events_on host = Vobs.Hub.recording host.domain.domain_obs
 
 let set_trace d tr = d.trace <- Some tr
 
@@ -255,29 +252,18 @@ let set_obs d hub = d.domain_obs <- Some hub
 let obs d = d.domain_obs
 let set_trace_of d f = d.trace_of <- f
 
-(* Flight-recorder events, mirroring [trace]: the label is only built
-   when an attached hub's recorder is enabled, so a disabled recorder
-   costs one test per site. Reading the clock for the time stamp never
-   advances it. *)
+(* Flight-recorder events, mirroring [trace]. Reading the clock for
+   the time stamp never advances it. *)
 let event_log host ~cat ?(trace = 0) fmt =
-  match host.domain.domain_obs with
-  | Some hub when Vobs.Eventlog.enabled (Vobs.Hub.events hub) ->
-      Format.kasprintf
-        (fun label ->
-          Vobs.Hub.event hub
-            ~at:(Engine.now host.domain.engine)
-            ~cat ~host:host.host_name ~trace label)
-        fmt
-  | Some _ | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
+  Vobs.Hub.eventf host.domain.domain_obs
+    ~at:(Engine.now host.domain.engine)
+    ~cat ~host:host.host_name ~trace fmt
 
 (* Count one kernel operation against (host, "kernel", op) if a hub is
    attached. Pure bookkeeping: never touches the simulation clock. *)
 let count_op host op =
-  match host.domain.domain_obs with
-  | None -> ()
-  | Some hub ->
-      Vobs.Metrics.incr (Vobs.Hub.metrics hub) ~host:host.host_name
-        ~server:"kernel" ~op
+  Vobs.Hub.count host.domain.domain_obs ~host:host.host_name ~server:"kernel"
+    ~op
 
 (* The per-transaction ops are deferred instead: send/receive/reply
    fire on every IPC transaction, and the keyed path's hashing is what

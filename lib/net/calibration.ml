@@ -59,10 +59,6 @@ let local_ipc_leg_cpu = 0.385
    server: across the network / between local address spaces. *)
 let segment_copy_remote_cpu = 0.66
 
-(* Local delivery passes segments within one machine; the cost is
-   already inside the 0.77 ms local transaction figure. *)
-let segment_copy_local_cpu = 0.0
-
 (* Local MoveTo/MoveFrom memcpy per 512-byte page. *)
 let local_move_page_cpu = 0.05
 

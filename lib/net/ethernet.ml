@@ -136,12 +136,10 @@ let set_obs t hub = t.obs <- Some hub
    has no better label. *)
 let host_label addr = Printf.sprintf "host%d" addr
 
+(* The guard spares building the label when no hub is attached. *)
 let net_metric t addr op =
-  match t.obs with
-  | None -> ()
-  | Some hub ->
-      Vobs.Metrics.incr (Vobs.Hub.metrics hub) ~host:(host_label addr)
-        ~server:"net" ~op
+  if t.obs <> None then
+    Vobs.Hub.count t.obs ~host:(host_label addr) ~server:"net" ~op
 
 (* The per-frame counters (every frame pays them) are deferred: they
    accumulate on the port and [flush_metrics] moves them into the
@@ -172,15 +170,8 @@ let flush_metrics t =
    [host] is "host<addr>" for per-host events, "net" for wire-wide
    ones. *)
 let net_event t host fmt =
-  match t.obs with
-  | Some hub when Vobs.Eventlog.enabled (Vobs.Hub.events hub) ->
-      Format.kasprintf
-        (fun label ->
-          Vobs.Hub.event hub
-            ~at:(Vsim.Engine.now t.engine)
-            ~cat:Vobs.Eventlog.Net ~host label)
-        fmt
-  | Some _ | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
+  Vobs.Hub.eventf t.obs ~at:(Vsim.Engine.now t.engine) ~cat:Vobs.Eventlog.Net
+    ~host ~trace:0 fmt
 
 let config t = t.config
 

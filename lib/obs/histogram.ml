@@ -1,5 +1,4 @@
-(* Fixed-bucket histograms with mergeable state and optional exemplar
-   reservoirs.
+(* Fixed-bucket histograms with optional exemplar reservoirs.
 
    [bounds] are strictly increasing bucket upper bounds; [counts] has
    one extra slot for the overflow bucket. Observed extrema are kept so
@@ -9,10 +8,6 @@
    alike. Only the Prometheus exposition format (see {!Export}) prints
    the spec-mandated "+Inf" — that is a wire-format obligation, not a
    different answer.
-
-   Two histograms built with the same bounds can be merged ([merge]),
-   which is what lets per-host observations roll up into per-edge and
-   fleet aggregates without keeping raw samples.
 
    Exemplars: when created with [exemplar_slots > 0], each bucket keeps
    a reservoir of up to that many (trace id, value) pairs, maintained
@@ -160,42 +155,6 @@ let buckets t =
 let exemplars t b =
   if t.slots = 0 || b < 0 || b >= Array.length t.counts then []
   else Array.to_list (Array.sub t.ex.(b) 0 t.ex_fill.(b))
-
-let all_exemplars t =
-  if t.slots = 0 then []
-  else
-    List.concat (List.init (Array.length t.counts) (fun b -> exemplars t b))
-
-(* [merge a b] is a fresh histogram holding both inputs' observations:
-   counts, n and sum add; extrema widen; exemplar reservoirs
-   concatenate and keep the prefix (prefix-truncation of concatenation
-   is associative, so merge order cannot change the result). Both
-   inputs must share bucket bounds — aggregation across differently
-   shaped histograms has no meaningful bucket-wise sum. *)
-let merge a b =
-  if a.bounds <> b.bounds then invalid_arg "Histogram.merge: bounds differ";
-  let slots = Int.max a.slots b.slots in
-  let m = create ~bounds:a.bounds ~exemplar_slots:slots () in
-  Array.iteri (fun i c -> m.counts.(i) <- c + b.counts.(i)) a.counts;
-  m.n <- a.n + b.n;
-  m.sum <- a.sum +. b.sum;
-  m.lo <- Float.min a.lo b.lo;
-  m.hi <- Float.max a.hi b.hi;
-  if slots > 0 then
-    Array.iteri
-      (fun bkt _ ->
-        List.iter
-          (fun e ->
-            if m.ex_fill.(bkt) < slots then begin
-              m.ex.(bkt).(m.ex_fill.(bkt)) <- e;
-              m.ex_fill.(bkt) <- m.ex_fill.(bkt) + 1
-            end)
-          (exemplars a bkt @ exemplars b bkt);
-        m.ex_seen.(bkt) <-
-          (if a.slots > 0 then a.ex_seen.(bkt) else 0)
-          + (if b.slots > 0 then b.ex_seen.(bkt) else 0))
-      m.counts;
-  m
 
 let to_json t =
   let nbounds = Array.length t.bounds in

@@ -1,5 +1,4 @@
-(** Fixed-bucket histograms with mergeable state and optional exemplar
-    reservoirs.
+(** Fixed-bucket histograms with optional exemplar reservoirs.
 
     One invariant ties the reading APIs together: the overflow bucket's
     upper edge is always the observed maximum — [buckets], [to_json]
@@ -60,15 +59,6 @@ val raw_counts : t -> int array
 (** Exemplars held by bucket [b] (raw index into [raw_counts]); [] when
     reservoirs are off or the bucket is empty. *)
 val exemplars : t -> int -> exemplar list
-
-(** All exemplars, in bucket order. *)
-val all_exemplars : t -> exemplar list
-
-(** [merge a b] is a fresh histogram holding both inputs' observations:
-    counts/n/sum add, extrema widen, exemplar reservoirs concatenate
-    prefix-first (associatively). Inputs must share bounds.
-    @raise Invalid_argument when the bounds differ. *)
-val merge : t -> t -> t
 
 val to_json : t -> Json.t
 val pp : Format.formatter -> t -> unit

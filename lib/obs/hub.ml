@@ -5,7 +5,7 @@
    distributed tracing is precisely that spans from different hosts land
    in the same store, keyed by trace id.
 
-   Tracing and metrics are independently switchable. With tracing off,
+   Tracing is fixed when the hub is created. With tracing off,
    [start_trace] hands out [Span.no_ctx] and [start_span] returns [None],
    so instrumented code pays one test per hop. Nothing here ever touches
    the simulation clock: callers pass [~now] in, which keeps simulated
@@ -19,7 +19,7 @@
    so a trimmed store is visible instead of silent. *)
 
 type t = {
-  mutable tracing : bool;
+  tracing : bool;
   mutable next_trace : int;
   mutable next_span : int;
   span_limit : int;
@@ -67,7 +67,6 @@ let create ?(tracing = false) ?(span_limit = 10_000) ?event_capacity () =
   t
 
 let tracing t = t.tracing
-let set_tracing t flag = t.tracing <- flag
 let metrics t = t.metrics
 let events t = t.events
 let slo t = t.slo
@@ -112,10 +111,29 @@ let sync_health_metrics t =
         (float_of_int (Timeseries.series_dropped ts))
   | None -> ()
 
-(* One-call convenience for instrumentation sites: a boolean test when
-   the recorder is off. *)
-let event t ~at ~cat ~host ?trace label =
-  Eventlog.record t.events ~at ~cat ~host ?trace label
+(* The instrumentation sites below every layer hold a [t option] — the
+   hub attached to their domain, if any — so the guard, the formatter
+   and the counter take one. *)
+let recording = function
+  | Some t -> Eventlog.enabled t.events
+  | None -> false
+
+(* The label is formatted only when the recorder is on; otherwise
+   [ikfprintf] consumes the arguments without running any printer.
+   Applying a format still builds its argument closures, which is why
+   the hottest sites test [recording] before calling this at all. *)
+let eventf hub ~at ~cat ~host ~trace fmt =
+  match hub with
+  | Some t when Eventlog.enabled t.events ->
+      Format.kasprintf
+        (fun label -> Eventlog.record t.events ~at ~cat ~host ~trace label)
+        fmt
+  | Some _ | None -> Format.ikfprintf ignore Format.str_formatter fmt
+
+let count ?by hub ~host ~server ~op =
+  match hub with
+  | Some t -> Metrics.incr ?by t.metrics ~host ~server ~op
+  | None -> ()
 
 (* Head sampling composes with the tail-based eviction below: heads
    decide *which traces exist at all* (1-in-N, cheap, at the root),

@@ -10,13 +10,12 @@
 
 type t
 
-(** [create ()] makes a hub with tracing off (metrics enabled) and the
-    flight recorder present but disabled. The span store keeps at most
+(** [create ()] makes a hub with tracing off and the flight recorder
+    present but disabled. The span store keeps at most
     [span_limit] spans; eviction is tail-based — see {!spans_dropped}. *)
 val create : ?tracing:bool -> ?span_limit:int -> ?event_capacity:int -> unit -> t
 
 val tracing : t -> bool
-val set_tracing : t -> bool -> unit
 val metrics : t -> Metrics.t
 
 (** The hub's flight recorder (disabled until
@@ -29,16 +28,33 @@ val slo : t -> Slo.t option
 
 val set_slo : t -> Slo.t option -> unit
 
-(** [event t ~at ~cat ~host ?trace label] records into the flight
-    recorder — one boolean test when it is disabled. *)
-val event :
-  t ->
+(** {1 Recording from instrumented layers}
+
+    Each layer holds the hub attached to its domain as a [t option];
+    these take it as is, so a layer needs no code of its own to
+    guard, format or count. *)
+
+(** [recording hub]: [hub] is attached and its flight recorder is on.
+    Hot paths test this before building any event argument. *)
+val recording : t option -> bool
+
+(** [eventf hub ~at ~cat ~host ~trace fmt ...] formats a label and
+    records it in the flight recorder ([trace] 0 = none). When [hub]
+    is absent or its recorder is off, no label is built and no [%a]
+    printer runs. *)
+val eventf :
+  t option ->
   at:float ->
   cat:Eventlog.cat ->
   host:string ->
-  ?trace:int ->
-  string ->
-  unit
+  trace:int ->
+  ('a, Format.formatter, unit) format ->
+  'a
+
+(** [count ?by hub ~host ~server ~op] is {!Metrics.incr} on an attached
+    hub's registry, and nothing when [hub] is absent. *)
+val count :
+  ?by:int -> t option -> host:string -> server:string -> op:string -> unit
 
 (** Spans evicted from the bounded store so far. Eviction is
     tail-based: traces that errored, retried, failed over, hit a fault

@@ -2,9 +2,8 @@
    histograms, keyed by (host, server, operation).
 
    The registry is designed for the simulation's hot paths: recording
-   never touches simulated time (so instrumented and uninstrumented runs
-   are bit-identical), and a disabled registry reduces every operation
-   to one boolean test. Instruments are created lazily on first use, so
+   never touches simulated time, so instrumented and uninstrumented runs
+   are bit-identical. Instruments are created lazily on first use, so
    call sites need no setup.
 
    Two storage modes share this one recording API. The default is the
@@ -31,220 +30,64 @@ let key_json k =
   ]
 
 type t = {
-  mutable enabled : bool;
   bounds : float array;
   counters : (key, int ref) Hashtbl.t;
   gauges : (key, float ref) Hashtbl.t;
   histograms : (key, Histogram.t) Hashtbl.t;
   mutable rollup : Rollup.t option;
-  mutable exemplar_slots : int;
-  mutable exemplar_rand : Srand.t option;
-  (* Bumped whenever the storage mode changes (rollup attach/detach,
-     reset, exemplar reconfiguration): handles compare their stamp
-     against this and rebind lazily. *)
-  mutable generation : int;
 }
 
 let create ?(bounds = Histogram.default_bounds) () =
   {
-    enabled = true;
     bounds;
     counters = Hashtbl.create 64;
     gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 32;
     rollup = None;
-    exemplar_slots = 0;
-    exemplar_rand = None;
-    generation = 0;
   }
 
-let enabled t = t.enabled
-let set_enabled t flag = t.enabled <- flag
 let rollup t = t.rollup
-
-let set_rollup t r =
-  t.rollup <- r;
-  t.generation <- t.generation + 1
-
-let set_exemplars t ~slots ~seed =
-  if slots < 0 then invalid_arg "Metrics.set_exemplars: negative slots";
-  t.exemplar_slots <- slots;
-  t.exemplar_rand <- (if slots = 0 then None else Some (Srand.create ~seed));
-  t.generation <- t.generation + 1
+let set_rollup t r = t.rollup <- r
 
 let incr ?(by = 1) t ~host ~server ~op =
-  if t.enabled then
-    match t.rollup with
-    | Some r -> Rollup.incr ~by r ~leaf:host ~server ~op
-    | None -> (
-        let k = { host; server; op } in
-        match Hashtbl.find_opt t.counters k with
-        | Some r -> r := !r + by
-        | None -> Hashtbl.replace t.counters k (ref by))
+  match t.rollup with
+  | Some r -> Rollup.incr ~by r ~leaf:host ~server ~op
+  | None -> (
+      let k = { host; server; op } in
+      match Hashtbl.find_opt t.counters k with
+      | Some r -> r := !r + by
+      | None -> Hashtbl.replace t.counters k (ref by))
 
 let set_gauge t ~host ~server ~op v =
-  if t.enabled then
-    match t.rollup with
-    | Some r -> Rollup.set_gauge r ~leaf:host ~server ~op v
-    | None -> (
-        let k = { host; server; op } in
-        match Hashtbl.find_opt t.gauges k with
-        | Some r -> r := v
-        | None -> Hashtbl.replace t.gauges k (ref v))
+  match t.rollup with
+  | Some r -> Rollup.set_gauge r ~leaf:host ~server ~op v
+  | None -> (
+      let k = { host; server; op } in
+      match Hashtbl.find_opt t.gauges k with
+      | Some r -> r := v
+      | None -> Hashtbl.replace t.gauges k (ref v))
 
+(* Flat histograms keep no exemplars: a trace id only matters in rollup
+   mode, where the rollup carries its own reservoirs. *)
 let observe ?trace t ~host ~server ~op v =
-  if t.enabled then
-    match t.rollup with
-    | Some r -> Rollup.observe ?trace r ~leaf:host ~server ~op v
-    | None ->
-        let k = { host; server; op } in
-        let h =
-          match Hashtbl.find_opt t.histograms k with
-          | Some h -> h
-          | None ->
-              let h =
-                Histogram.create ~bounds:t.bounds
-                  ~exemplar_slots:t.exemplar_slots ()
-              in
-              Hashtbl.replace t.histograms k h;
-              h
-        in
-        Histogram.observe ?trace ?rand:t.exemplar_rand h v
-
-(* --- handles: the recording hot path --- *)
-
-(* A handle caches where its instrument's data lives — a flat cell, or
-   a rollup route — so per-frame call sites pay pointer work instead of
-   key hashing. The binding is lazy and generation-stamped: attaching
-   or detaching a rollup, resetting, or reconfiguring exemplars bumps
-   [generation], and every handle transparently rebinds on its next
-   recording. *)
-
-type counter = {
-  cn_t : t;
-  cn_host : string;
-  cn_server : string;
-  cn_op : string;
-  mutable cn_gen : int;
-  mutable cn_flat : int ref option;
-  mutable cn_route : Rollup.counter_route option;
-}
-
-type observer = {
-  ob_t : t;
-  ob_host : string;
-  ob_server : string;
-  ob_op : string;
-  mutable ob_gen : int;
-  mutable ob_flat : Histogram.t option;
-  mutable ob_route : Rollup.observe_route option;
-}
-
-let counter t ~host ~server ~op =
-  {
-    cn_t = t;
-    cn_host = host;
-    cn_server = server;
-    cn_op = op;
-    cn_gen = t.generation - 1;
-    cn_flat = None;
-    cn_route = None;
-  }
-
-let observer t ~host ~server ~op =
-  {
-    ob_t = t;
-    ob_host = host;
-    ob_server = server;
-    ob_op = op;
-    ob_gen = t.generation - 1;
-    ob_flat = None;
-    ob_route = None;
-  }
-
-let flat_counter_cell t k =
-  match Hashtbl.find_opt t.counters k with
-  | Some r -> r
+  match t.rollup with
+  | Some r -> Rollup.observe ?trace r ~leaf:host ~server ~op v
   | None ->
-      let r = ref 0 in
-      Hashtbl.replace t.counters k r;
-      r
-
-let flat_histogram_cell t k =
-  match Hashtbl.find_opt t.histograms k with
-  | Some h -> h
-  | None ->
+      let k = { host; server; op } in
       let h =
-        Histogram.create ~bounds:t.bounds ~exemplar_slots:t.exemplar_slots ()
+        match Hashtbl.find_opt t.histograms k with
+        | Some h -> h
+        | None ->
+            let h = Histogram.create ~bounds:t.bounds () in
+            Hashtbl.replace t.histograms k h;
+            h
       in
-      Hashtbl.replace t.histograms k h;
-      h
-
-let bind_counter c =
-  let t = c.cn_t in
-  c.cn_gen <- t.generation;
-  match t.rollup with
-  | Some r ->
-      c.cn_flat <- None;
-      c.cn_route <-
-        Some
-          (Rollup.counter_route r ~leaf:c.cn_host ~server:c.cn_server
-             ~op:c.cn_op)
-  | None ->
-      c.cn_route <- None;
-      c.cn_flat <-
-        Some
-          (flat_counter_cell t
-             { host = c.cn_host; server = c.cn_server; op = c.cn_op })
-
-let bind_observer o =
-  let t = o.ob_t in
-  o.ob_gen <- t.generation;
-  match t.rollup with
-  | Some r ->
-      o.ob_flat <- None;
-      o.ob_route <-
-        Some
-          (Rollup.observe_route r ~leaf:o.ob_host ~server:o.ob_server
-             ~op:o.ob_op)
-  | None ->
-      o.ob_route <- None;
-      o.ob_flat <-
-        Some
-          (flat_histogram_cell t
-             { host = o.ob_host; server = o.ob_server; op = o.ob_op })
-
-let add ?(by = 1) c =
-  let t = c.cn_t in
-  if t.enabled then begin
-    if c.cn_gen <> t.generation then bind_counter c;
-    match c.cn_route with
-    | Some r -> Rollup.route_add ~by r
-    | None -> (
-        match c.cn_flat with
-        | Some cell -> cell := !cell + by
-        | None -> ())
-  end
-
-let record ?trace o v =
-  let t = o.ob_t in
-  if t.enabled then begin
-    if o.ob_gen <> t.generation then bind_observer o;
-    match o.ob_route with
-    | Some r -> Rollup.route_observe ?trace r v
-    | None -> (
-        match o.ob_flat with
-        | Some h -> Histogram.observe ?trace ?rand:t.exemplar_rand h v
-        | None -> ())
-  end
+      Histogram.observe h v
 
 let counter_value t ~host ~server ~op =
   match Hashtbl.find_opt t.counters { host; server; op } with
   | Some r -> !r
   | None -> 0
-
-let gauge_value t ~host ~server ~op =
-  Option.map ( ! ) (Hashtbl.find_opt t.gauges { host; server; op })
 
 let histogram t ~host ~server ~op =
   Hashtbl.find_opt t.histograms { host; server; op }
@@ -264,12 +107,6 @@ let sorted_bindings tbl value =
 let counters t = sorted_bindings t.counters ( ! )
 let gauges t = sorted_bindings t.gauges ( ! )
 let histograms t = sorted_bindings t.histograms Fun.id
-
-let reset t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.gauges;
-  Hashtbl.reset t.histograms;
-  t.generation <- t.generation + 1
 
 let to_json t =
   let instrument extra k = Json.Obj (key_json k @ extra) in

@@ -2,9 +2,8 @@
     histograms keyed by (host, server, operation).
 
     Recording never touches simulated time, so instrumented and
-    uninstrumented runs produce bit-identical results; a disabled
-    registry reduces every recording call to one boolean test.
-    Instruments are created lazily on first use.
+    uninstrumented runs produce bit-identical results. Instruments are
+    created lazily on first use.
 
     Two storage modes share the recording API. Flat mode (the default)
     keeps one instrument per concrete key — unbounded cardinality, fine
@@ -24,8 +23,6 @@ val pp_key : Format.formatter -> key -> unit
 type t
 
 val create : ?bounds:float array -> unit -> t
-val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 
 (** The attached rollup, if the registry is in scale mode. *)
 val rollup : t -> Rollup.t option
@@ -35,54 +32,23 @@ val rollup : t -> Rollup.t option
     [set_rollup t None] returns to flat mode. *)
 val set_rollup : t -> Rollup.t option -> unit
 
-(** [set_exemplars t ~slots ~seed] enables per-bucket trace exemplars
-    on histograms created after this call (flat mode; a rollup carries
-    its own exemplar configuration). [slots = 0] disables.
-    @raise Invalid_argument on negative [slots]. *)
-val set_exemplars : t -> slots:int -> seed:int -> unit
-
-(** Recording. All are no-ops when the registry is disabled. *)
+(** Recording. *)
 
 val incr : ?by:int -> t -> host:string -> server:string -> op:string -> unit
 val set_gauge : t -> host:string -> server:string -> op:string -> float -> unit
 
-(** [observe ?trace t ~host ~server ~op v] records a histogram sample;
-    a positive [trace] id is offered to the bucket's exemplar reservoir
-    when exemplars are enabled. *)
+(** [observe ?trace t ~host ~server ~op v] records a histogram sample.
+    In rollup mode a positive [trace] id is offered to the bucket's
+    exemplar reservoir when the rollup keeps exemplars; flat histograms
+    keep none. *)
 val observe :
   ?trace:int -> t -> host:string -> server:string -> op:string -> float -> unit
-
-(** {1 Handles — the recording hot path}
-
-    A handle caches where its instrument's data lives (a flat cell or
-    a rollup route), so recording through it is pointer work — no key
-    construction, no hashing, no group lookup. This is what per-frame
-    and per-send call sites use. Handles survive mode changes:
-    attaching or detaching a rollup, {!reset} and {!set_exemplars} all
-    invalidate cached bindings, and a handle transparently rebinds on
-    its next recording. *)
-
-type counter
-type observer
-
-val counter : t -> host:string -> server:string -> op:string -> counter
-
-(** [add c] bumps the counter (all rollup levels at once in rollup
-    mode). No-op when the registry is disabled. *)
-val add : ?by:int -> counter -> unit
-
-val observer : t -> host:string -> server:string -> op:string -> observer
-
-(** [record ?trace o v] records a histogram sample through the handle;
-    semantics match {!observe}. *)
-val record : ?trace:int -> observer -> float -> unit
 
 (** Reading (flat mode; in rollup mode these report zero/absent). *)
 
 (** [counter_value] is 0 for a counter never incremented. *)
 val counter_value : t -> host:string -> server:string -> op:string -> int
 
-val gauge_value : t -> host:string -> server:string -> op:string -> float option
 val histogram : t -> host:string -> server:string -> op:string -> Histogram.t option
 
 (** All instruments, sorted by (host, server, op). *)
@@ -91,6 +57,5 @@ val counters : t -> (key * int) list
 val gauges : t -> (key * float) list
 val histograms : t -> (key * Histogram.t) list
 
-val reset : t -> unit
 val to_json : t -> Json.t
 val pp : Format.formatter -> t -> unit

@@ -23,10 +23,7 @@
    Aggregation semantics per instrument kind: counters sum, gauges keep
    the running peak (a group's "queue depth" is the worst queue it has
    ever seen — a max, since summing instantaneous depths across
-   members is meaningless), histograms merge bucket-wise
-   ({!Histogram.merge}). [merge] combines two rollups with the same
-   rules and no cap, making it associative — reporting-time machinery
-   for combining shards, not a recording path. *)
+   members is meaningless), histograms accumulate bucket-wise. *)
 
 type level = Leaf | Group | Fleet
 
@@ -83,11 +80,9 @@ let create ?(leaf_cap = 4096) ?(bounds = Histogram.default_bounds)
   }
 
 (* Admission: aggregate levels always pass (their cardinality is
-   structurally bounded); a new leaf key passes only under the cap.
-   [admit_quiet] decides without touching the drop counter — route
-   binding uses it, because a refused route counts one drop per
-   *recording*, not one per bind. *)
-let admit_quiet t level key =
+   structurally bounded); a new leaf key passes only under the cap, and
+   a refused observation counts in [keys_dropped]. *)
+let admit t level key =
   if Hashtbl.mem t.seen (level, key) then true
   else if level <> Leaf then begin
     Hashtbl.replace t.seen (level, key) ();
@@ -98,13 +93,10 @@ let admit_quiet t level key =
     t.leaf_keys <- t.leaf_keys + 1;
     true
   end
-  else false
-
-let admit t level key =
-  admit_quiet t level key
-  ||
-  (t.keys_dropped <- t.keys_dropped + 1;
-   false)
+  else begin
+    t.keys_dropped <- t.keys_dropped + 1;
+    false
+  end
 
 (* The three keys one leaf observation fans out to. *)
 let targets t ~leaf ~server ~op =
@@ -156,81 +148,6 @@ let observe ?trace t ~leaf ~server ~op v =
       end)
     (targets t ~leaf ~server ~op)
 
-(* --- pre-resolved routes: the recording hot path --- *)
-
-(* A route binds admission and the level cells once; recording through
-   it is then pointer work only — no key construction, no hashing, no
-   group lookup. A route whose leaf key the cap refused still carries
-   the aggregate cells, and each recording through it counts one
-   dropped observation, matching the keyed path's accounting. *)
-
-type counter_route = {
-  cr_cells : int ref array;
-  cr_owner : t;
-  cr_leaf_ok : bool;
-}
-
-type observe_route = {
-  or_hists : Histogram.t array;
-  or_owner : t;
-  or_leaf_ok : bool;
-}
-
-let counter_cell t level key =
-  match Hashtbl.find_opt t.counters (level, key) with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.replace t.counters (level, key) r;
-      r
-
-let hist_cell t level key =
-  match Hashtbl.find_opt t.histograms (level, key) with
-  | Some h -> h
-  | None ->
-      let h = Histogram.create ~bounds:t.bounds ~exemplar_slots:t.slots () in
-      Hashtbl.replace t.histograms (level, key) h;
-      h
-
-let bind_route t ~leaf ~server ~op cell =
-  let leaf_ok = ref true in
-  let cells =
-    List.filter_map
-      (fun (level, key) ->
-        if admit_quiet t level key then Some (cell t level key)
-        else begin
-          leaf_ok := false;
-          None
-        end)
-      (targets t ~leaf ~server ~op)
-  in
-  (Array.of_list cells, !leaf_ok)
-
-let counter_route t ~leaf ~server ~op =
-  let cells, leaf_ok = bind_route t ~leaf ~server ~op counter_cell in
-  { cr_cells = cells; cr_owner = t; cr_leaf_ok = leaf_ok }
-
-let route_add ?(by = 1) r =
-  if not r.cr_leaf_ok then
-    r.cr_owner.keys_dropped <- r.cr_owner.keys_dropped + 1;
-  let cells = r.cr_cells in
-  for i = 0 to Array.length cells - 1 do
-    let c = cells.(i) in
-    c := !c + by
-  done
-
-let observe_route t ~leaf ~server ~op =
-  let hists, leaf_ok = bind_route t ~leaf ~server ~op hist_cell in
-  { or_hists = hists; or_owner = t; or_leaf_ok = leaf_ok }
-
-let route_observe ?trace r v =
-  if not r.or_leaf_ok then
-    r.or_owner.keys_dropped <- r.or_owner.keys_dropped + 1;
-  let hists = r.or_hists in
-  for i = 0 to Array.length hists - 1 do
-    Histogram.observe ?trace ~rand:r.or_owner.rand hists.(i) v
-  done
-
 let keys_dropped t = t.keys_dropped
 let key_count t = Hashtbl.length t.seen
 
@@ -248,52 +165,6 @@ let sorted_bindings tbl level value =
 let counters t level = sorted_bindings t.counters level ( ! )
 let gauges t level = sorted_bindings t.gauges level ( ! )
 let histograms t level = sorted_bindings t.histograms level Fun.id
-
-(* [merge a b]: a fresh rollup holding both inputs' aggregates, built
-   by iterating *sorted* keys so the result is independent of hash
-   order. No cap is applied — inputs were capped at recording time, and
-   re-capping here would break associativity. *)
-let merge a b =
-  let m =
-    create ~leaf_cap:(a.leaf_cap + b.leaf_cap) ~bounds:a.bounds
-      ~exemplar_slots:a.slots ~group_of:a.group_of ()
-  in
-  m.keys_dropped <- a.keys_dropped + b.keys_dropped;
-  let note level key = Hashtbl.replace m.seen (level, key) () in
-  List.iter
-    (fun level ->
-      List.iter
-        (fun (k, v) ->
-          note level k;
-          match Hashtbl.find_opt m.counters (level, k) with
-          | Some r -> r := !r + v
-          | None -> Hashtbl.replace m.counters (level, k) (ref v))
-        (counters a level @ counters b level);
-      List.iter
-        (fun (k, v) ->
-          note level k;
-          match Hashtbl.find_opt m.gauges (level, k) with
-          | Some r -> if v > !r then r := v
-          | None -> Hashtbl.replace m.gauges (level, k) (ref v))
-        (gauges a level @ gauges b level);
-      List.iter
-        (fun (k, h) ->
-          note level k;
-          match Hashtbl.find_opt m.histograms (level, k) with
-          | Some existing ->
-              Hashtbl.replace m.histograms (level, k)
-                (Histogram.merge existing h)
-          | None ->
-              (* Merge with an empty histogram to copy: the input stays
-                 live and must not share mutable state with the result. *)
-              Hashtbl.replace m.histograms (level, k)
-                (Histogram.merge h
-                   (Histogram.create ~bounds:a.bounds
-                      ~exemplar_slots:a.slots ())))
-        (histograms a level @ histograms b level))
-    [ Leaf; Group; Fleet ];
-  m.leaf_keys <- key_count_at m Leaf;
-  m
 
 let key_json k =
   [

@@ -11,7 +11,7 @@
     per-leaf detail saturates.
 
     Counters sum; gauges keep the latest value at leaves and the peak
-    at aggregates; histograms merge bucket-wise. Recording never reads
+    at aggregates; histograms accumulate bucket-wise. Recording never reads
     a clock and draws nothing from any workload PRNG (exemplar
     reservoirs use a private {!Srand} stream). *)
 
@@ -51,28 +51,6 @@ val set_gauge : t -> leaf:string -> server:string -> op:string -> float -> unit
 val observe :
   ?trace:int -> t -> leaf:string -> server:string -> op:string -> float -> unit
 
-(** {1 Pre-resolved routes — the recording hot path}
-
-    Binding a route resolves admission, the group lookup and the
-    leaf/group/fleet cells once; recording through it is pointer work
-    only, cheap enough for per-frame call sites. A route bound while
-    the cap refuses its leaf key still reaches the aggregate levels,
-    and every recording through it counts in {!keys_dropped} —
-    identical accounting to the keyed API. *)
-
-type counter_route
-type observe_route
-
-val counter_route :
-  t -> leaf:string -> server:string -> op:string -> counter_route
-
-val route_add : ?by:int -> counter_route -> unit
-
-val observe_route :
-  t -> leaf:string -> server:string -> op:string -> observe_route
-
-val route_observe : ?trace:int -> observe_route -> float -> unit
-
 (** Observations refused because they would have created a leaf key
     beyond [leaf_cap]. *)
 val keys_dropped : t -> int
@@ -87,12 +65,6 @@ val key_count_at : t -> level -> int
 val counters : t -> level -> (key * int) list
 val gauges : t -> level -> (key * float) list
 val histograms : t -> level -> (key * Histogram.t) list
-
-(** [merge a b] combines two rollups: counters sum, gauges keep the
-    peak, histograms merge. Built over sorted keys with no cap, so it
-    is deterministic and associative — a reporting-time operation over
-    already-capped inputs, not a recording path. *)
-val merge : t -> t -> t
 
 val to_json : t -> Json.t
 val pp : Format.formatter -> t -> unit

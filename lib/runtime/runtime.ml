@@ -59,7 +59,6 @@ type env = {
 
 let engine env = Kernel.engine_of_domain (Kernel.domain_of_self env.self)
 let self env = env.self
-let current_context env = env.current
 let set_current_context env spec =
   env.current <- spec;
   env.current_name <- None
@@ -88,7 +87,6 @@ let set_resilience env ?(policy = Vio.Resilience.default) ~seed () =
   env.resilience <- Some policy;
   env.retry_prng <- Vsim.Prng.create ~seed
 
-let clear_resilience env = env.resilience <- None
 let resilience env = env.resilience
 
 let resilience_stats env = env.rstats
@@ -130,12 +128,8 @@ let make self ~current =
 let obs_hub env = Kernel.obs (Kernel.domain_of_self env.self)
 
 let obs_runtime_metric env op =
-  match obs_hub env with
-  | None -> ()
-  | Some hub ->
-      Vobs.Metrics.incr (Vobs.Hub.metrics hub)
-        ~host:(Kernel.self_host_name env.self)
-        ~server:"runtime" ~op
+  Vobs.Hub.count (obs_hub env) ~host:(Kernel.self_host_name env.self)
+    ~server:"runtime" ~op
 
 let obs_root env ~op ~context =
   match obs_hub env with
@@ -208,17 +202,8 @@ let root_trace = function
    exhausted budgets), stamped with the operation's root trace. The
    label is only built when an attached hub's recorder is enabled. *)
 let obs_event env ?(trace = 0) fmt =
-  match obs_hub env with
-  | Some hub when Vobs.Eventlog.enabled (Vobs.Hub.events hub) ->
-      Format.kasprintf
-        (fun label ->
-          Vobs.Hub.event hub
-            ~at:(Vsim.Engine.now (engine env))
-            ~cat:Vobs.Eventlog.Client
-            ~host:(Kernel.self_host_name env.self)
-            ~trace label)
-        fmt
-  | Some _ | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
+  Vobs.Hub.eventf (obs_hub env) ~at:(Vsim.Engine.now (engine env))
+    ~cat:Vobs.Eventlog.Client ~host:(Kernel.self_host_name env.self) ~trace fmt
 
 (* The resilience retry loop around one named operation. [run] is a
    whole routed attempt (including the stale-retry cascade); on a

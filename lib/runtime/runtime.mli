@@ -23,7 +23,6 @@ val make : Vmsg.t Kernel.self -> current:Context.spec -> (env, Vio.Verr.t) resul
 
 val self : env -> Vmsg.t Kernel.self
 val engine : env -> Vsim.Engine.t
-val current_context : env -> Context.spec
 val set_current_context : env -> Context.spec -> unit
 
 (** {1 The client resilience policy}
@@ -49,7 +48,6 @@ val set_current_context : env -> Context.spec -> unit
 val set_resilience :
   env -> ?policy:Vio.Resilience.policy -> seed:int -> unit -> unit
 
-val clear_resilience : env -> unit
 val resilience : env -> Vio.Resilience.policy option
 
 type resilience_stats = {
@@ -79,14 +77,6 @@ val current_context_name : env -> (string, Vio.Verr.t) result
 
 val open_ :
   env -> mode:Vmsg.open_mode -> string -> (Vio.Client.remote_instance, Vio.Verr.t) result
-
-(** Open, run, release (release errors surface if the body succeeded). *)
-val with_instance :
-  env ->
-  mode:Vmsg.open_mode ->
-  string ->
-  (Vio.Client.remote_instance -> ('a, Vio.Verr.t) result) ->
-  ('a, Vio.Verr.t) result
 
 val read_file : env -> string -> (bytes, Vio.Verr.t) result
 val write_file : env -> string -> bytes -> (unit, Vio.Verr.t) result

@@ -15,8 +15,6 @@ type t = {
   page_bytes : int;
   capacity_pages : int option;
   mutable busy_until : float;
-  reads : Vsim.Stats.Counter.t;
-  writes : Vsim.Stats.Counter.t;
 }
 
 let create ?(page_ms = Calibration.disk_page_ms)
@@ -28,8 +26,6 @@ let create ?(page_ms = Calibration.disk_page_ms)
     page_bytes;
     capacity_pages;
     busy_until = 0.0;
-    reads = Vsim.Stats.Counter.create "disk.reads";
-    writes = Vsim.Stats.Counter.create "disk.writes";
   }
 
 let capacity_pages t = t.capacity_pages
@@ -39,8 +35,6 @@ let page_bytes t = t.page_bytes
 (* Forget queued setup traffic: the arm is idle from now on. Benchmarks
    call this after populating the disk outside measured time. *)
 let reset_arm t = t.busy_until <- Vsim.Engine.now t.engine
-let read_count t = Vsim.Stats.Counter.value t.reads
-let write_count t = Vsim.Stats.Counter.value t.writes
 
 (* Claim the arm for one page transfer; returns its completion time. *)
 let enqueue_transfer t =
@@ -61,20 +55,17 @@ let peek t page =
 
 (* Blocking read of one page (missing pages read as zeroes). *)
 let read_page t page =
-  Vsim.Stats.Counter.incr t.reads;
   wait_until t (enqueue_transfer t);
   peek t page
 
 (* Start reading a page without blocking; the result is the time at
    which the page will be in memory. *)
 let read_page_async t page =
-  Vsim.Stats.Counter.incr t.reads;
   ignore page;
   enqueue_transfer t
 
 let write_page t page data =
   if Bytes.length data > t.page_bytes then invalid_arg "Disk.write_page: too large";
-  Vsim.Stats.Counter.incr t.writes;
   wait_until t (enqueue_transfer t);
   let stored = Bytes.make t.page_bytes '\000' in
   Bytes.blit data 0 stored 0 (Bytes.length data);
@@ -86,7 +77,6 @@ let write_page t page data =
 let write_page_behind t page data =
   if Bytes.length data > t.page_bytes then
     invalid_arg "Disk.write_page_behind: too large";
-  Vsim.Stats.Counter.incr t.writes;
   ignore (enqueue_transfer t);
   let stored = Bytes.make t.page_bytes '\000' in
   Bytes.blit data 0 stored 0 (Bytes.length data);

@@ -10,16 +10,10 @@ val create :
 
 val page_bytes : t -> int
 val capacity_pages : t -> int option
-val read_count : t -> int
-val write_count : t -> int
 
 (** Forget queued setup traffic: the arm is idle from now on. Used by
     benchmarks after out-of-band population. *)
 val reset_arm : t -> unit
-
-(** Claim the arm for one page transfer; returns its completion time.
-    Building block for asynchronous transfers (read-ahead). *)
-val enqueue_transfer : t -> float
 
 (** Block the calling fiber until [time] (no-op if past). *)
 val wait_until : t -> float -> unit

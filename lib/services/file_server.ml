@@ -53,7 +53,8 @@ type t = {
          are durable like the disk, the reply cache is not *)
   mutable pid : Pid.t option;
   (* Hub and host name for byte-count metrics, set at spawn. *)
-  mutable obs : (Vobs.Hub.t * string) option;
+  mutable obs : Vobs.Hub.t option;
+  mutable obs_host : string;
   (* Overload-protection policy; [None] = admission off. Survives
      [restart_from] (the record is copied), so a protected server
      rebooted over its disk comes back protected. *)
@@ -433,11 +434,7 @@ let handle_csname t self ~sender (msg : Vmsg.t) _req ctx remaining =
 
 (* Count bytes served/stored against (host, server-name, op). *)
 let io_bytes t op n =
-  match t.obs with
-  | None -> ()
-  | Some (hub, host) ->
-      Vobs.Metrics.incr (Vobs.Hub.metrics hub) ~by:n ~host
-        ~server:t.server_name ~op
+  Vobs.Hub.count ~by:n t.obs ~host:t.obs_host ~server:t.server_name ~op
 
 let handle_io t (msg : Vmsg.t) =
   let open Vmsg in
@@ -569,9 +566,8 @@ let lookup_for_walk t ctx component =
 (* Register the serving process and handlers for an existing state
    record; shared by cold start and restart-from-disk. *)
 let spawn_server host t scope =
-  (match Kernel.obs (Kernel.domain_of_host host) with
-  | Some hub -> t.obs <- Some (hub, Kernel.host_name host)
-  | None -> t.obs <- None);
+  t.obs <- Kernel.obs (Kernel.domain_of_host host);
+  t.obs_host <- Kernel.host_name host;
   let handlers self =
     {
       Csnh.valid_context =
@@ -657,6 +653,7 @@ let start host ~name ?(owner = "system") ?(scope = Service.Both) () =
       guard = Seq_guard.create ();
       pid = None;
       obs = None;
+      obs_host = "";
       admission_cfg = None;
     }
   in

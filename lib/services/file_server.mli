@@ -76,11 +76,3 @@ val spec : t -> context:Context.id -> Context.spec
 (** The low-level identifier (inode number) of a path — what a §2.1
     centralized name server hands out. *)
 val low_id_of_path : t -> string -> int option
-
-(** {1 The accounts context (§5.2)}
-
-    The server's second object type: user accounts, in their own
-    well-known context ({!Vnaming.Context.Well_known.accounts}).
-    Creating an account also creates its home directory. *)
-
-val account_names : t -> string list

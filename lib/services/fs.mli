@@ -61,7 +61,6 @@ val lookup : t -> dir:int -> string -> entry option
 (** Entries sorted by name. *)
 val entries : t -> dir:int -> (string * entry) list
 
-val valid_name : string -> bool
 val create_file : t -> dir:int -> owner:string -> string -> (int, Reply.code) result
 val mkdir : t -> dir:int -> owner:string -> string -> (int, Reply.code) result
 

@@ -212,9 +212,11 @@ let start host =
           Vsim.Stats.Counter.incr t.stats.Csnh.requests;
           let reply_msg =
             match msg.Vmsg.name with
-            | Some req when Vmsg.Op.is_csname_request msg.Vmsg.code ->
+            | Some req when Vmsg.Op.is_csname_request msg.Vmsg.code -> (
                 Vsim.Proc.delay engine Vnet.Calibration.csname_common_cpu;
-                handle_csname t ~sender msg req
+                match Csname.validate req with
+                | Error code -> Vmsg.reply code
+                | Ok () -> handle_csname t ~sender msg req)
             | Some _ | None -> (
                 match handle_other t ~sender msg with
                 | Some r -> r

@@ -18,9 +18,6 @@ val start : Vnaming.Vmsg.t Kernel.host -> t
 val pid : t -> Vkernel.Pid.t
 val stats : t -> Vnaming.Csnh.server_stats
 
-(** Does the name follow the external user\@host convention? *)
-val valid_mailbox_name : string -> bool
-
 (** Mailbox names, sorted. *)
 val mailboxes : t -> string list
 

@@ -90,16 +90,9 @@ let protect t ?config ps =
     t.members;
   Admission.install t.domain (Prefix_server.pid ps) cfg
 
-let unprotect t ps =
-  List.iter (fun (_, fs) -> File_server.disable_admission fs t.domain) t.members;
-  Admission.uninstall t.domain (Prefix_server.pid ps)
-
 let metric t host op =
-  match Kernel.obs t.domain with
-  | None -> ()
-  | Some hub ->
-      Vobs.Metrics.incr (Vobs.Hub.metrics hub) ~host:(Kernel.host_name host)
-        ~server:"replica" ~op
+  Vobs.Hub.count (Kernel.obs t.domain) ~host:(Kernel.host_name host)
+    ~server:"replica" ~op
 
 (* Retries per logged entry before a catch-up gives up: the sends are
    host-local, so a failure means the host is going down again and the

@@ -40,9 +40,6 @@ val uninstall : t -> unit
     {!revive}. [?config] overrides the coordinator policy. *)
 val protect : t -> ?config:Admission.config -> Prefix_server.t -> unit
 
-(** Undo {!protect} on members and coordinator. *)
-val unprotect : t -> Prefix_server.t -> unit
-
 val service : t -> int
 val group : t -> int
 val policy : t -> Balancer.policy
@@ -52,7 +49,6 @@ val factor : t -> int
 val members : t -> (Ethernet.addr * File_server.t) list
 
 val member_pids : t -> Pid.t list
-val find_member : t -> Ethernet.addr -> File_server.t option
 
 (** The prefix-binding target clients should use: logical, so every use
     re-resolves through GetPid and the balancer. *)

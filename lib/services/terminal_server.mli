@@ -14,8 +14,5 @@ val start : Vnaming.Vmsg.t Kernel.host -> t
 val pid : t -> Vkernel.Pid.t
 val stats : t -> Vnaming.Csnh.server_stats
 
-(** Names of live terminals, sorted. *)
-val terminal_names : t -> string list
-
 (** Accumulated lines of a terminal, oldest first. *)
 val lines : t -> string -> string list

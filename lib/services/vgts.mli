@@ -19,9 +19,6 @@ val start : Vnaming.Vmsg.t Kernel.host -> t
 val pid : t -> Vkernel.Pid.t
 val stats : t -> Vnaming.Csnh.server_stats
 
-(** Window names, sorted. *)
-val window_names : t -> string list
-
 val geometry : t -> string -> geometry option
 
 (** Content lines of a window, oldest first. *)

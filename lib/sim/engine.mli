@@ -52,7 +52,6 @@ val schedule_at : t -> float -> (unit -> unit) -> unit
 type timer
 
 val timer : ?delay:float -> t -> (unit -> unit) -> timer
-val timer_at : t -> float -> (unit -> unit) -> timer
 val cancel : t -> timer -> unit
 
 (** Execute the single earliest event. Returns [false] if the queue was

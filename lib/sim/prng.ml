@@ -47,12 +47,3 @@ let pick t = function
   | [] -> invalid_arg "Prng.pick: empty list"
   | xs -> List.nth xs (int t (List.length xs))
 
-let shuffle t xs =
-  let a = Array.of_list xs in
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done;
-  Array.to_list a

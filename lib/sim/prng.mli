@@ -27,6 +27,3 @@ val exponential : t -> mean:float -> float
 
 (** Uniform choice from a non-empty list. *)
 val pick : t -> 'a list -> 'a
-
-(** Fisher-Yates shuffle. *)
-val shuffle : t -> 'a list -> 'a list

@@ -12,11 +12,6 @@ type 'a resumer = ('a, exn) result -> unit
 (** Raised inside a fiber that is being torn down (host crash). *)
 exception Killed of string
 
-(** Hook invoked when a fiber dies with an uncaught exception. The
-    default prints and re-raises (failing the run) except for [Killed],
-    which is normal termination. *)
-val on_uncaught : (name:string -> exn -> unit) ref
-
 (** [spawn ?name engine body] schedules a new fiber to start now. *)
 val spawn : ?name:string -> Engine.t -> (unit -> unit) -> unit
 
@@ -39,8 +34,6 @@ module Ivar : sig
   (** Fill the cell, waking the reader if one is blocked. Raises
       [Invalid_argument] if already filled. *)
   val fill : 'a t -> ('a, exn) result -> unit
-
-  val is_full : 'a t -> bool
 
   (** Block until filled; re-raises if filled with an error. At most one
       reader is allowed. *)

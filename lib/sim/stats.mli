@@ -17,14 +17,10 @@ module Series : sig
   val name : t -> string
   val add : t -> float -> unit
   val count : t -> int
-  val to_array : t -> float array
   val sum : t -> float
   val mean : t -> float
   val min_ : t -> float
   val max_ : t -> float
-
-  (** Sample standard deviation. *)
-  val stddev : t -> float
 
   (** Quantile in [\[0, 1\]] by linear interpolation. *)
   val quantile : t -> float -> float

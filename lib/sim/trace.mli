@@ -19,7 +19,6 @@ val emit : t -> category:string -> ('a, Format.formatter, unit, unit) format4 ->
 val records : t -> record list
 
 val clear : t -> unit
-val pp_record : Format.formatter -> record -> unit
 val pp : Format.formatter -> t -> unit
 
 (** Like [pp] but with times relative to the first record. *)

@@ -41,8 +41,9 @@ let transact self server msg =
   | Ok (reply, replier) -> Ok (reply, replier)
   | Error e -> Error (Fmt.str "transaction failed: %a" Kernel.pp_error e)
 
-let named_request ?payload ?(context = Context.Well_known.default) code name =
-  Vmsg.request ~name:(Csname.make_req ~context name) ?payload code
+let named_request ?payload ?index ?(context = Context.Well_known.default) code
+    name =
+  Vmsg.request ~name:(Csname.make_req ?index ~context name) ?payload code
 
 (* --- individual checks --- *)
 
@@ -102,6 +103,27 @@ let check_illegal_name self server =
       | Some Reply.Ok -> Fail "accepted a name containing NUL"
       | Some code -> Fail (Fmt.str "unexpected code %s" (Reply.to_string code))
       | None -> Fail "not a reply")
+
+(* A name index outside the name (before its start, or past its end)
+   must be rejected as an illegal name, and the server must survive to
+   answer the next request. *)
+let check_bad_index self server =
+  let name = "x" in
+  let probe index =
+    match
+      transact self server (named_request ~index Vmsg.Op.query_name name)
+    with
+    | Error why -> Some (Fmt.str "index %d: %s" index why)
+    | Ok (reply, _) -> (
+        match Vmsg.reply_code reply with
+        | Some Reply.Illegal_name -> None
+        | Some code ->
+            Some (Fmt.str "index %d answered %s" index (Reply.to_string code))
+        | None -> Some (Fmt.str "index %d: not a reply" index))
+  in
+  match List.filter_map probe [ -1; String.length name + 1 ] with
+  | [] -> Pass
+  | why :: _ -> Fail why
 
 (* A bad context identifier must be rejected as such. *)
 let check_bad_context self server =
@@ -214,6 +236,7 @@ let all_checks =
     ("unknown operation rejected", check_unknown_operation);
     ("alive after unknown operation", check_alive_after_unknown);
     ("illegal names rejected", check_illegal_name);
+    ("bad index rejected", check_bad_index);
     ("bad context rejected", check_bad_context);
     ("context directory readable (§5.6)", check_context_directory);
     ("directory = queries (§5.6)", check_directory_matches_queries);

@@ -13,8 +13,6 @@ module Pid = Vkernel.Pid
 
 type verdict = Pass | Fail of string | Skip of string
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 type check = { check_name : string; verdict : verdict }
 type report = { server : Pid.t; label : string; checks : check list }
 

@@ -49,7 +49,6 @@ val ws_addr : int -> Ethernet.addr
 val fs_addr : int -> Ethernet.addr
 val printer_addr : Ethernet.addr
 val mail_addr : Ethernet.addr
-val internet_addr : Ethernet.addr
 
 (** Build the installation; nothing runs until the engine does.
     [local_file_server_on] additionally runs a Local-scope file server
@@ -70,10 +69,6 @@ val build :
 
 val workstation : t -> int -> workstation
 val file_server : t -> int -> File_server.t
-
-(** The current context a fresh program is handed: the first file
-    server's root. *)
-val default_context : t -> Context.spec
 
 (** Run [body] as a client process on workstation [ws] with a standard
     run-time environment. *)

@@ -119,13 +119,6 @@ let results_json () =
   | [] -> Json.Obj fields
   | _ -> Json.Obj (("_meta", meta_json ()) :: fields)
 
-let reset_results () =
-  json_store := [];
-  current_title := "(untitled)";
-  run_meta := [];
-  current_meta := None;
-  removed_experiments := []
-
 let print_title title =
   current_title := title;
   let bar = String.make (String.length title) '=' in

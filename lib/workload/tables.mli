@@ -64,5 +64,3 @@ val note_removed : string -> unit
     entries, in print order, preceded by ["_meta"] when the harness
     opened experiment entries. *)
 val results_json : unit -> Vobs.Json.t
-
-val reset_results : unit -> unit

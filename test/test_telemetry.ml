@@ -1,7 +1,8 @@
 (* Tests for the scale-telemetry layer: deterministic head sampling,
-   rollup merge algebra and cardinality bounds, histogram overflow and
-   exemplar reservoirs, time-series downsampling and caps, eventlog
-   drop accounting, and the deferred-scrape counter flush. *)
+   rollup cardinality bounds, histogram overflow and exemplar
+   reservoirs, time-series downsampling and caps, eventlog drop
+   accounting, the shared flight-recorder formatter, and the
+   deferred-scrape counter flush. *)
 
 module K = Vkernel.Kernel
 module E = Vnet.Ethernet
@@ -63,40 +64,13 @@ let test_sampling_rate () =
   done;
   Alcotest.(check int) "every:1 refuses nothing" 0 (Vobs.Hub.sampled_out all)
 
-(* --- rollup: merge algebra --- *)
+(* --- rollup: cardinality bounds --- *)
 
 (* Group leaves in fours, like hosts under an edge switch. *)
 let group_of leaf =
   match int_of_string_opt leaf with
   | Some n -> Some (Printf.sprintf "edge%d" (n / 4))
   | None -> None
-
-let rollup_of_ops ops =
-  let r = R.create ~group_of () in
-  List.iter
-    (fun (leaf, op, v) ->
-      let leaf = string_of_int leaf in
-      let op = Printf.sprintf "op%d" op in
-      R.incr r ~leaf ~server:"kernel" ~op;
-      R.observe r ~leaf ~server:"kernel" ~op (float_of_int v))
-    ops;
-  r
-
-let prop_rollup_merge_associative =
-  QCheck.Test.make ~name:"rollup merge is associative" ~count:60
-    QCheck.(
-      triple
-        (small_list (triple (int_range 0 15) (int_range 0 2) (int_range 0 40)))
-        (small_list (triple (int_range 0 15) (int_range 0 2) (int_range 0 40)))
-        (small_list (triple (int_range 0 15) (int_range 0 2) (int_range 0 40))))
-    (fun (xs, ys, zs) ->
-      let a () = rollup_of_ops xs
-      and b () = rollup_of_ops ys
-      and c () = rollup_of_ops zs in
-      let left = R.merge (R.merge (a ()) (b ())) (c ()) in
-      let right = R.merge (a ()) (R.merge (b ()) (c ())) in
-      Vobs.Json.to_string (R.to_json left)
-      = Vobs.Json.to_string (R.to_json right))
 
 let test_rollup_cap_and_drop_accounting () =
   let r = R.create ~leaf_cap:8 ~group_of () in
@@ -108,9 +82,26 @@ let test_rollup_cap_and_drop_accounting () =
   let fleet_total =
     List.fold_left (fun acc (_, n) -> acc + n) 0 (R.counters r Fleet)
   in
-  Alcotest.(check int) "fleet total stays exact past the cap" 50 fleet_total
+  Alcotest.(check int) "fleet total stays exact past the cap" 50 fleet_total;
+  (* Histograms and gauges go through the same admission: each refused
+     leaf observation counts once, and the aggregates still see it. *)
+  for leaf = 0 to 49 do
+    let leaf = string_of_int leaf in
+    R.observe r ~leaf ~server:"kernel" ~op:"lat" 1.0;
+    R.set_gauge r ~leaf ~server:"kernel" ~op:"depth" 1.0
+  done;
+  Alcotest.(check int) "leaf keys still at the cap" 8 (R.key_count_at r Leaf);
+  Alcotest.(check int) "refused observe and set_gauge counted" (42 + 50 + 50)
+    (R.keys_dropped r);
+  (match R.histograms r Fleet with
+  | [ (_, h) ] ->
+      Alcotest.(check int) "fleet histogram sees every sample" 50 (H.count h)
+  | hs -> Alcotest.failf "%d fleet histograms, expected 1" (List.length hs));
+  match R.gauges r Fleet with
+  | [ (_, v) ] -> Alcotest.(check (float 0.0)) "fleet gauge peak" 1.0 v
+  | gs -> Alcotest.failf "%d fleet gauges, expected 1" (List.length gs)
 
-(* --- histogram: overflow bucket and merge --- *)
+(* --- histogram: overflow bucket --- *)
 
 let test_histogram_overflow () =
   let h = H.create ~bounds:[| 1.0; 2.0 |] () in
@@ -125,23 +116,6 @@ let test_histogram_overflow () =
       Alcotest.(check (float 1e-9)) "overflow upper edge = max" 20.0 upper
   | [] -> Alcotest.fail "no buckets");
   Alcotest.(check (float 1e-9)) "q1.0 = max" 20.0 (H.quantile h 1.0)
-
-let test_histogram_merge () =
-  let mk vals =
-    let h = H.create ~bounds:[| 1.0; 2.0 |] () in
-    List.iter (H.observe h) vals;
-    h
-  in
-  let m = H.merge (mk [ 0.5; 3.0 ]) (mk [ 1.5; 9.0 ]) in
-  Alcotest.(check int) "merged count" 4 (H.count m);
-  Alcotest.(check (float 1e-9)) "merged sum" 14.0 (H.sum m);
-  Alcotest.(check (array int))
-    "bucket-wise sum"
-    [| 1; 1; 2 |]
-    (H.raw_counts m);
-  Alcotest.check_raises "mismatched bounds refuse to merge"
-    (Invalid_argument "Histogram.merge: bounds differ") (fun () ->
-      ignore (H.merge (mk []) (H.create ~bounds:[| 5.0 |] ())))
 
 let test_exemplars_deterministic_and_bucketed () =
   let run () =
@@ -295,25 +269,59 @@ let test_flush_metrics_deferred_and_idempotent () =
   K.flush_metrics domain;
   check "nothing is counted twice" (expect 6) hub2
 
-(* --- metric handles survive a registry mode switch --- *)
+(* --- keyed recording follows a registry mode switch --- *)
 
-let test_handle_rebinds_across_set_rollup () =
+let test_keyed_incr_across_set_rollup () =
   let m = Vobs.Metrics.create () in
-  let c = Vobs.Metrics.counter m ~host:"h1" ~server:"kernel" ~op:"send" in
-  Vobs.Metrics.add c;
-  Alcotest.(check int) "flat mode counts flat" 1
-    (Vobs.Metrics.counter_value m ~host:"h1" ~server:"kernel" ~op:"send");
+  let send ?by () =
+    Vobs.Metrics.incr ?by m ~host:"h1" ~server:"kernel" ~op:"send"
+  in
+  let flat () =
+    Vobs.Metrics.counter_value m ~host:"h1" ~server:"kernel" ~op:"send"
+  in
+  send ();
+  Alcotest.(check int) "flat mode counts flat" 1 (flat ());
   let r = R.create ~group_of:(fun _ -> Some "edge0") () in
   Vobs.Metrics.set_rollup m (Some r);
-  (* The stale handle must notice the generation change and rebind to
-     the rollup rather than keep feeding the abandoned flat cell. *)
-  Vobs.Metrics.add ~by:2 c;
-  let fleet_total =
+  send ~by:2 ();
+  let fleet_total () =
     List.fold_left (fun acc (_, n) -> acc + n) 0 (R.counters r Fleet)
   in
-  Alcotest.(check int) "post-switch adds land in the rollup" 2 fleet_total;
-  Alcotest.(check int) "flat cell keeps only the pre-switch count" 1
-    (Vobs.Metrics.counter_value m ~host:"h1" ~server:"kernel" ~op:"send")
+  Alcotest.(check int) "rollup-mode adds land in the rollup" 2 (fleet_total ());
+  Alcotest.(check int) "flat cell keeps only the flat-mode count" 1 (flat ());
+  Vobs.Metrics.set_rollup m None;
+  send ~by:4 ();
+  Alcotest.(check int) "back in flat mode, adds land flat again" 5 (flat ());
+  Alcotest.(check int) "the detached rollup keeps its count" 2 (fleet_total ())
+
+(* --- the shared flight-recorder formatter --- *)
+
+(* A [%a] printer is the expensive part of a label: with the recorder
+   off it must never run, and with it on it runs exactly once. *)
+let test_eventf_runs_printer_only_when_recording () =
+  let hub = Vobs.Hub.create () in
+  let runs = ref 0 in
+  let pp ppf n =
+    incr runs;
+    Fmt.int ppf n
+  in
+  let emit hub =
+    Vobs.Hub.eventf hub ~at:1.0 ~cat:Vobs.Eventlog.Kernel ~host:"h" ~trace:0
+      "n=%a" pp 7
+  in
+  emit None;
+  emit (Some hub);
+  Alcotest.(check int) "recorder off: printer never runs" 0 !runs;
+  Alcotest.(check bool) "recorder off: not recording" false
+    (Vobs.Hub.recording (Some hub));
+  Vobs.Eventlog.set_enabled (Vobs.Hub.events hub) true;
+  Alcotest.(check bool) "recorder on: recording" true
+    (Vobs.Hub.recording (Some hub));
+  emit (Some hub);
+  Alcotest.(check int) "recorder on: printer runs once" 1 !runs;
+  match Vobs.Eventlog.events (Vobs.Hub.events hub) with
+  | [ e ] -> Alcotest.(check string) "label" "n=7" e.Vobs.Eventlog.label
+  | es -> Alcotest.failf "%d events recorded, expected 1" (List.length es)
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -327,7 +335,6 @@ let suite =
         test_rollup_cap_and_drop_accounting;
       Alcotest.test_case "histogram overflow bucket" `Quick
         test_histogram_overflow;
-      Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
       Alcotest.test_case "exemplar reservoirs" `Quick
         test_exemplars_deterministic_and_bucketed;
       Alcotest.test_case "timeseries downsampling" `Quick
@@ -337,9 +344,10 @@ let suite =
       Alcotest.test_case "eventlog drop hook" `Quick test_eventlog_drop_hook;
       Alcotest.test_case "flush_metrics deferred + idempotent" `Quick
         test_flush_metrics_deferred_and_idempotent;
-      Alcotest.test_case "handle rebind across set_rollup" `Quick
-        test_handle_rebinds_across_set_rollup;
+      Alcotest.test_case "keyed incr across set_rollup" `Quick
+        test_keyed_incr_across_set_rollup;
+      Alcotest.test_case "eventf formats only when recording" `Quick
+        test_eventf_runs_printer_only_when_recording;
         qcheck prop_sampling_deterministic;
-        qcheck prop_rollup_merge_associative;
       ] );
   ]
