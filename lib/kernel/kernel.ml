@@ -160,8 +160,12 @@ and 'm host = {
    definitively everywhere is ABORTED: the entry is removed before any
    replay can see it. Catch-up readers see committed entries only, and
    [group_write_pending] lets them wait out in-flight fan-outs before
-   declaring themselves caught up. *)
+   declaring themselves caught up. Every entry is stamped with its
+   append position, which only ever increases: a reader tracks what it
+   has replayed by position, since an older entry can commit after a
+   newer one and trimming removes entries from the front. *)
 and 'm sg_entry = {
+  le_pos : int;
   le_origin : int;
   le_seq : int;
   le_msg : 'm;
@@ -172,8 +176,15 @@ and 'm service_group = {
   sg_group : int;  (* the process group implementing the service *)
   sg_policy : Balancer.policy;
   mutable sg_cursor : int;  (* round-robin position, seeded at registration *)
-  mutable sg_log : 'm sg_entry list;  (* newest first *)
-  mutable sg_log_len : int;
+  (* The log: a ring of [sg_len] entries in append order, the oldest at
+     [sg_head]; its length is a power of two (0 until the first append,
+     whose entry fills the spare slots). *)
+  mutable sg_ring : 'm sg_entry array;
+  mutable sg_head : int;
+  mutable sg_len : int;
+  mutable sg_next_pos : int;
+  (* (origin, seq) -> the entry, while it is pending *)
+  sg_pending : (int * int, 'm sg_entry) Hashtbl.t;
   (* origin -> highest seq trimmed out of the capped log; a member whose
      durable applied mark is below this cannot catch up by replay. *)
   sg_trim_hw : (int, int) Hashtbl.t;
@@ -197,6 +208,9 @@ and 'm domain = {
   retired_logical_hosts : (int, Ethernet.addr) Hashtbl.t;
   all_hosts : (Ethernet.addr, 'm host) Hashtbl.t;
   service_groups : (int, 'm service_group) Hashtbl.t;  (* by service id *)
+  (* group -> the hosts with at least one member joined, so a member
+     lookup walks those instead of every host in the domain. *)
+  group_hosts : (int, 'm host list) Hashtbl.t;
   domain_prng : Vsim.Prng.t;
   mutable trace : Vsim.Trace.t option;
   mutable domain_obs : Vobs.Hub.t option;
@@ -1135,8 +1149,11 @@ let register_service_group d ~service ~group policy =
       sg_group = group;
       sg_policy = policy;
       sg_cursor = cursor;
-      sg_log = [];
-      sg_log_len = 0;
+      sg_ring = [||];
+      sg_head = 0;
+      sg_len = 0;
+      sg_next_pos = 0;
+      sg_pending = Hashtbl.create 8;
       sg_trim_hw = Hashtbl.create 4;
     }
 
@@ -1150,22 +1167,26 @@ let local_group_members host ~group =
 
 (* The live members of a group visible from [requester]: on an up host,
    not partitioned away, process alive — sorted by (address, local pid)
-   so every host enumerates them identically. *)
+   so every host enumerates them identically. Only hosts with a member
+   joined are walked. *)
 let reachable_group_members d ~requester ~group =
-  Hashtbl.fold
-    (fun addr h acc ->
-      if h.host_up && Ethernet.reachable d.net requester addr then
-        List.fold_left
-          (fun acc pid ->
-            match Hashtbl.find_opt h.processes (Pid.local_pid pid) with
-            | Some p when p.proc_alive -> (pid, addr) :: acc
-            | Some _ | None -> acc)
-          acc
-          (local_group_members h ~group)
-      else acc)
-    d.all_hosts []
-  |> List.sort (fun (p1, a1) (p2, a2) ->
-         compare (a1, Pid.local_pid p1) (a2, Pid.local_pid p2))
+  match Hashtbl.find_opt d.group_hosts group with
+  | None -> []
+  | Some hosts ->
+      List.fold_left
+        (fun acc h ->
+          if h.host_up && Ethernet.reachable d.net requester h.addr then
+            List.fold_left
+              (fun acc pid ->
+                match Hashtbl.find_opt h.processes (Pid.local_pid pid) with
+                | Some p when p.proc_alive -> (pid, h.addr) :: acc
+                | Some _ | None -> acc)
+              acc
+              (local_group_members h ~group)
+          else acc)
+        [] hosts
+      |> List.sort (fun (p1, a1) (p2, a2) ->
+             compare (a1, Pid.local_pid p1) (a2, Pid.local_pid p2))
 
 let service_group_members d ~requester ~service =
   match Hashtbl.find_opt d.service_groups service with
@@ -1176,85 +1197,118 @@ let service_group_members d ~requester ~service =
 (* Ordered write-all log for a replicated service: appended pending at
    fan-out start, committed or aborted when the fan-out resolves, read
    back (committed entries, oldest first) by a member catching up. The
-   log is capped: once it exceeds [sg_log_cap] committed entries the
-   oldest are trimmed, with the per-origin trim high-water mark kept so
-   a catch-up can detect that replay alone can no longer cover it. *)
+   log is capped: once it holds more than [sg_log_cap] entries, pending
+   ones included, the oldest (length - cap) are trimmed — committed ones
+   drop, with the per-origin trim high-water mark kept so a catch-up can
+   detect that replay alone can no longer cover it; pending ones stay
+   where they are. Append, commit and the pending test cost O(1); abort,
+   which runs only after a fan-out failed on every member, is O(length). *)
 let sg_log_cap = 1024
 
+let ring_get sg i =
+  sg.sg_ring.((sg.sg_head + i) land (Array.length sg.sg_ring - 1))
+
+let ring_set sg i e =
+  sg.sg_ring.((sg.sg_head + i) land (Array.length sg.sg_ring - 1)) <- e
+
+let ring_push sg e =
+  let size = Array.length sg.sg_ring in
+  if sg.sg_len = size then begin
+    let ring = Array.make (max 16 (2 * size)) e in
+    for i = 0 to sg.sg_len - 1 do
+      ring.(i) <- ring_get sg i
+    done;
+    sg.sg_ring <- ring;
+    sg.sg_head <- 0
+  end;
+  ring_set sg sg.sg_len e;
+  sg.sg_len <- sg.sg_len + 1
+
+(* Walk the oldest (length - cap) entries newest first, packing the
+   pending ones against the untouched part of the log, then advance the
+   head past the committed ones dropped. *)
 let sg_trim sg =
-  if sg.sg_log_len > sg_log_cap then begin
-    let rec split n = function
-      | [] -> ([], [])
-      | e :: rest ->
-          if n = 0 then ([], e :: rest)
-          else
-            let kept, dropped = split (n - 1) rest in
-            (e :: kept, dropped)
-    in
-    let kept, dropped = split sg_log_cap sg.sg_log in
-    (* A pending entry is always recent (a fan-out resolves within one
-       coordinator request), so only committed entries can age into the
-       dropped tail; keep any pending stragglers regardless. *)
-    let stragglers = List.filter (fun e -> not e.le_committed) dropped in
-    List.iter
-      (fun e ->
-        if e.le_committed then
-          let prev =
-            match Hashtbl.find_opt sg.sg_trim_hw e.le_origin with
-            | Some s -> s
-            | None -> 0
-          in
-          Hashtbl.replace sg.sg_trim_hw e.le_origin (max prev e.le_seq))
-      dropped;
-    sg.sg_log <- kept @ stragglers;
-    sg.sg_log_len <- List.length sg.sg_log
+  let excess = sg.sg_len - sg_log_cap in
+  if excess > 0 then begin
+    let kept = ref 0 in
+    for i = excess - 1 downto 0 do
+      let e = ring_get sg i in
+      if e.le_committed then begin
+        let prev =
+          match Hashtbl.find_opt sg.sg_trim_hw e.le_origin with
+          | Some s -> s
+          | None -> 0
+        in
+        Hashtbl.replace sg.sg_trim_hw e.le_origin (max prev e.le_seq)
+      end
+      else begin
+        ring_set sg (excess - 1 - !kept) e;
+        incr kept
+      end
+    done;
+    let dropped = excess - !kept in
+    sg.sg_head <- (sg.sg_head + dropped) land (Array.length sg.sg_ring - 1);
+    sg.sg_len <- sg.sg_len - dropped
   end
 
 let log_group_write d ~service ~origin ~seq msg =
   match Hashtbl.find_opt d.service_groups service with
   | None -> ()
   | Some sg ->
-      sg.sg_log <-
-        { le_origin = origin; le_seq = seq; le_msg = msg; le_committed = false }
-        :: sg.sg_log;
-      sg.sg_log_len <- sg.sg_log_len + 1;
+      let e =
+        {
+          le_pos = sg.sg_next_pos;
+          le_origin = origin;
+          le_seq = seq;
+          le_msg = msg;
+          le_committed = false;
+        }
+      in
+      sg.sg_next_pos <- sg.sg_next_pos + 1;
+      Hashtbl.replace sg.sg_pending (origin, seq) e;
+      ring_push sg e;
       sg_trim sg
 
 let commit_group_write d ~service ~origin ~seq =
   match Hashtbl.find_opt d.service_groups service with
   | None -> ()
-  | Some sg ->
-      List.iter
-        (fun e ->
-          if e.le_origin = origin && e.le_seq = seq then e.le_committed <- true)
-        sg.sg_log
+  | Some sg -> (
+      match Hashtbl.find_opt sg.sg_pending (origin, seq) with
+      | None -> ()
+      | Some e ->
+          e.le_committed <- true;
+          Hashtbl.remove sg.sg_pending (origin, seq))
 
 let abort_group_write d ~service ~origin ~seq =
   match Hashtbl.find_opt d.service_groups service with
   | None -> ()
-  | Some sg ->
-      sg.sg_log <-
-        List.filter
-          (fun e ->
-            not (e.le_origin = origin && e.le_seq = seq && not e.le_committed))
-          sg.sg_log;
-      sg.sg_log_len <- List.length sg.sg_log
+  | Some sg -> (
+      match Hashtbl.find_opt sg.sg_pending (origin, seq) with
+      | None -> ()
+      | Some e ->
+          Hashtbl.remove sg.sg_pending (origin, seq);
+          let rec index i = if ring_get sg i == e then i else index (i + 1) in
+          for i = index 0 to sg.sg_len - 2 do
+            ring_set sg i (ring_get sg (i + 1))
+          done;
+          sg.sg_len <- sg.sg_len - 1)
 
 let group_write_log d ~service =
   match Hashtbl.find_opt d.service_groups service with
   | None -> []
   | Some sg ->
-      List.rev
-        (List.filter_map
-           (fun e ->
-             if e.le_committed then Some (e.le_origin, e.le_seq, e.le_msg)
-             else None)
-           sg.sg_log)
+      let acc = ref [] in
+      for i = sg.sg_len - 1 downto 0 do
+        let e = ring_get sg i in
+        if e.le_committed then
+          acc := (e.le_pos, e.le_origin, e.le_seq, e.le_msg) :: !acc
+      done;
+      !acc
 
 let group_write_pending d ~service =
   match Hashtbl.find_opt d.service_groups service with
   | None -> false
-  | Some sg -> List.exists (fun e -> not e.le_committed) sg.sg_log
+  | Some sg -> Hashtbl.length sg.sg_pending > 0
 
 let group_write_trimmed d ~service =
   match Hashtbl.find_opt d.service_groups service with
@@ -1263,40 +1317,34 @@ let group_write_trimmed d ~service =
       Hashtbl.fold (fun origin seq acc -> (origin, seq) :: acc) sg.sg_trim_hw []
       |> List.sort compare
 
-(* GetPid against the service-group registry: the service has a
-   registered group with at least one live reachable member. Split into
-   an availability check and the choice itself so only the choice
-   advances the round-robin cursor (a guard must not). *)
-let balanced_lookup_available host ~service =
-  let d = host.domain in
-  match Hashtbl.find_opt d.service_groups service with
-  | None -> false
-  | Some sg ->
-      reachable_group_members d ~requester:host.addr ~group:sg.sg_group <> []
-
+(* GetPid against the service-group registry: one of the service's live
+   reachable members, or [None] when the service has no group or no
+   such member (GetPid then falls back to its cache and the broadcast).
+   Only a pick advances the round-robin cursor. *)
 let balanced_choice host ~service =
   let d = host.domain in
   match Hashtbl.find_opt d.service_groups service with
   | None -> None
-  | Some sg -> (
-      match reachable_group_members d ~requester:host.addr ~group:sg.sg_group with
-      | [] -> None
-      | members ->
-          let choice =
-            Balancer.pick sg.sg_policy ~cursor:sg.sg_cursor ~origin:host.addr
-              members
-          in
+  | Some sg ->
+      let members =
+        reachable_group_members d ~requester:host.addr ~group:sg.sg_group
+      in
+      let choice =
+        Balancer.pick sg.sg_policy ~cursor:sg.sg_cursor ~origin:host.addr
+          members
+      in
+      (match choice with
+      | Some pid ->
+          count_op host "get-pid-balanced";
           (match sg.sg_policy with
           | Balancer.Round_robin -> sg.sg_cursor <- sg.sg_cursor + 1
           | Balancer.Nearest_host -> ());
-          (match choice with
-          | Some pid ->
-              if obs_events_on host then
-                event_log host ~cat:Vobs.Eventlog.Balancer
-                  "pick service %d -> %a (%d reachable)" service Pid.pp pid
-                  (List.length members)
-          | None -> ());
-          choice)
+          if obs_events_on host then
+            event_log host ~cat:Vobs.Eventlog.Balancer
+              "pick service %d -> %a (%d reachable)" service Pid.pp pid
+              (List.length members)
+      | None -> ());
+      choice
 
 let get_pid proc ~service scope =
   check_alive proc;
@@ -1307,45 +1355,45 @@ let get_pid proc ~service scope =
   match local_service_lookup host ~service ~origin:`Local_query with
   | Some pid when alive d pid -> Some pid
   | _ when scope = Service.Local -> None
-  | _ when balanced_lookup_available host ~service ->
-      count_op host "get-pid-balanced";
-      balanced_choice host ~service
-  | _ when d.getpid_cache_on && Hashtbl.mem host.getpid_cache service ->
-      (* Cached broadcast result. Deliberately no liveness check: the
-         cache is validated on use — the failure of the send or forward
-         that follows is what invalidates it (drop_cached_pid). *)
-      count_op host "get-pid-cached";
-      Some (Hashtbl.find host.getpid_cache service)
-  | _ ->
-      (* Broadcast query; first responder wins (§4.2). *)
-      charge proc Calibration.small_packet_send_cpu;
-      let txn = fresh_txn d in
-      let answer =
-        block proc (fun fire ->
-            let deadline = ref None in
-            let settle pid_opt =
-              if Hashtbl.mem host.getpid_waits txn then begin
-                Hashtbl.remove host.getpid_waits txn;
-                (match !deadline with
-                | Some tm -> Engine.cancel d.engine tm
-                | None -> ());
-                fire (Ok pid_opt)
-              end
-            in
-            Hashtbl.replace host.getpid_waits txn settle;
-            transmit host ~dst:Ethernet.Broadcast
-              ~payload_bytes:control_payload_bytes
-              (Getpid_query { txn; requester_addr = host.addr; service });
-            deadline :=
-              Some
-                (Engine.timer ~delay:Calibration.getpid_timeout_ms d.engine
-                   (fun () -> settle None)))
-      in
-      (if d.getpid_cache_on then
-         match answer with
-         | Some pid -> Hashtbl.replace host.getpid_cache service pid
-         | None -> ());
-      answer
+  | _ -> (
+      match balanced_choice host ~service with
+      | Some _ as choice -> choice
+      | None when d.getpid_cache_on && Hashtbl.mem host.getpid_cache service ->
+          (* Cached broadcast result. Deliberately no liveness check: the
+             cache is validated on use — the failure of the send or forward
+             that follows is what invalidates it (drop_cached_pid). *)
+          count_op host "get-pid-cached";
+          Some (Hashtbl.find host.getpid_cache service)
+      | None ->
+          (* Broadcast query; first responder wins (§4.2). *)
+          charge proc Calibration.small_packet_send_cpu;
+          let txn = fresh_txn d in
+          let answer =
+            block proc (fun fire ->
+                let deadline = ref None in
+                let settle pid_opt =
+                  if Hashtbl.mem host.getpid_waits txn then begin
+                    Hashtbl.remove host.getpid_waits txn;
+                    (match !deadline with
+                    | Some tm -> Engine.cancel d.engine tm
+                    | None -> ());
+                    fire (Ok pid_opt)
+                  end
+                in
+                Hashtbl.replace host.getpid_waits txn settle;
+                transmit host ~dst:Ethernet.Broadcast
+                  ~payload_bytes:control_payload_bytes
+                  (Getpid_query { txn; requester_addr = host.addr; service });
+                deadline :=
+                  Some
+                    (Engine.timer ~delay:Calibration.getpid_timeout_ms d.engine
+                       (fun () -> settle None)))
+          in
+          (if d.getpid_cache_on then
+             match answer with
+             | Some pid -> Hashtbl.replace host.getpid_cache service pid
+             | None -> ());
+          answer)
 
 (* Enable or disable the GetPid result cache; disabling flushes every
    host's cache so behaviour reverts exactly to the uncached kernel. *)
@@ -1373,11 +1421,28 @@ let create_group d =
   d.next_group <- g + 1;
   g
 
-let join_group host ~group pid =
-  let members =
-    match Hashtbl.find_opt host.group_members group with Some l -> l | None -> []
+(* The domain's group -> hosts index follows each host's first join
+   and last leave. *)
+let index_group_host host ~group =
+  let d = host.domain in
+  let hosts =
+    match Hashtbl.find_opt d.group_hosts group with Some l -> l | None -> []
   in
+  Hashtbl.replace d.group_hosts group (host :: hosts)
+
+let unindex_group_host host ~group =
+  let d = host.domain in
+  match Hashtbl.find_opt d.group_hosts group with
+  | None -> ()
+  | Some hosts -> (
+      match List.filter (fun h -> h != host) hosts with
+      | [] -> Hashtbl.remove d.group_hosts group
+      | hosts -> Hashtbl.replace d.group_hosts group hosts)
+
+let join_group host ~group pid =
+  let members = local_group_members host ~group in
   if not (List.exists (Pid.equal pid) members) then begin
+    if members = [] then index_group_host host ~group;
     Hashtbl.replace host.group_members group (pid :: members);
     Ethernet.join_group host.domain.net ~group ~addr:host.addr
   end
@@ -1389,6 +1454,7 @@ let leave_group host ~group pid =
       let members = List.filter (fun p -> not (Pid.equal p pid)) members in
       if members = [] then begin
         Hashtbl.remove host.group_members group;
+        unindex_group_host host ~group;
         Ethernet.leave_group host.domain.net ~group ~addr:host.addr
       end
       else Hashtbl.replace host.group_members group members
@@ -1602,6 +1668,7 @@ let create_domain ?(seed = 42) ?(hosts_hint = 16) ~cost engine net =
       retired_logical_hosts = Hashtbl.create 16;
       all_hosts = Hashtbl.create hosts_hint;
       service_groups = Hashtbl.create 8;
+      group_hosts = Hashtbl.create 8;
       domain_prng = Vsim.Prng.create ~seed;
       trace = None;
       domain_obs = None;
@@ -1699,7 +1766,9 @@ let crash_host host =
     Hashtbl.reset host.delivered_txns;
     Hashtbl.reset host.completed_replies;
     Hashtbl.iter
-      (fun group _ -> Ethernet.leave_group d.net ~group ~addr:host.addr)
+      (fun group _ ->
+        unindex_group_host host ~group;
+        Ethernet.leave_group d.net ~group ~addr:host.addr)
       host.group_members;
     Hashtbl.reset host.group_members
   end

@@ -295,12 +295,15 @@ val service_group_members :
 (** Append a PENDING write to the service's ordered write-all log,
     keyed by the coordinator's (origin, seq), before the fan-out's
     first send — so a concurrent catch-up can see (and wait out) the
-    in-flight write. Resolve it with {!commit_group_write} once some
-    member may have applied it, or {!abort_group_write} when the
-    fan-out failed definitively everywhere. The log keeps at most a
-    bounded number of committed entries; the oldest are trimmed with
-    their per-origin high-water mark retained ({!group_write_trimmed}).
-    No-ops when the service has no group. *)
+    in-flight write. The entry gets the log's next position (positions
+    only ever increase). The (origin, seq) must not already be pending.
+    Resolve it with {!commit_group_write} once some member may have
+    applied it, or {!abort_group_write} when the fan-out failed
+    definitively everywhere. The log is capped at 1024 entries, pending
+    ones included: once it holds more, the oldest (length - 1024) are
+    trimmed — the committed ones among them drop, with their per-origin
+    high-water mark retained ({!group_write_trimmed}), and the pending
+    ones stay. No-ops when the service has no group. *)
 val log_group_write :
   'm domain -> service:int -> origin:int -> seq:int -> 'm -> unit
 
@@ -317,8 +320,9 @@ val commit_group_write :
 val abort_group_write :
   'm domain -> service:int -> origin:int -> seq:int -> unit
 
-(** The committed entries, oldest first. *)
-val group_write_log : 'm domain -> service:int -> (int * int * 'm) list
+(** The committed entries as (position, origin, seq, message), oldest
+    first. *)
+val group_write_log : 'm domain -> service:int -> (int * int * int * 'm) list
 
 (** Is any logged write still pending (fan-out in flight)? A catch-up
     must not declare itself complete while this holds. *)

@@ -106,25 +106,31 @@ let replay_attempts = 5
 
    The loop matters: writes keep fanning out while the replay runs, so
    one pass over a snapshot of the log is not enough. Each round
-   re-reads the log and replays the tail this process has not sent yet
-   (the member's {!Seq_guard} deduplicates, so overlap with the live
-   fan-out is harmless); committed entries are append-only, making the
-   replayed count a valid cursor. The final round finds no new entries
-   AND no write still pending (a fan-out in flight has logged its entry
-   pending before its first send), and [on_caught_up] runs in that same
-   event step — no send or delay intervenes — so no write can slip
-   between the check and it. A replay send that still fails after
-   {!replay_attempts} aborts the catch-up without running
-   [on_caught_up]: the member has a known gap and must not rejoin. *)
+   re-reads the log and replays, in log order, every committed entry
+   this process has not sent yet (the member's {!Seq_guard} deduplicates,
+   so overlap with the live fan-out is harmless). What has been sent is
+   tracked by log position, not by a count: an older entry can commit
+   after a newer one, and at the cap every append trims the oldest, so
+   the committed entries are not an append-only list. The final round
+   finds no new entries AND no write still pending (a fan-out in flight
+   has logged its entry pending before its first send), and
+   [on_caught_up] runs in that same event step — no send or delay
+   intervenes — so no write can slip between the check and it. A replay
+   send that still fails after {!replay_attempts} aborts the catch-up
+   without running [on_caught_up]: the member has a known gap and must
+   not rejoin. *)
 let catch_up t host p ~label ~on_caught_up =
   let d = t.domain in
   let engine = Kernel.engine_of_domain d in
   ignore
     (Kernel.spawn host ~name:label (fun self ->
-         let replay (_origin, _seq, msg) =
+         let replayed = Hashtbl.create 64 in
+         let replay (pos, _origin, _seq, msg) =
            let rec go attempt =
              match Kernel.send self p msg with
-             | Ok (_ : Vmsg.t * Pid.t) -> true
+             | Ok (_ : Vmsg.t * Pid.t) ->
+                 Hashtbl.replace replayed pos ();
+                 true
              | Error _ when attempt < replay_attempts ->
                  metric t host "replay-retry";
                  Vsim.Proc.delay engine 1.0;
@@ -133,21 +139,23 @@ let catch_up t host p ~label ~on_caught_up =
            in
            go 1
          in
-         let rec drain replayed =
-           let log = Kernel.group_write_log d ~service:t.service in
-           let n = List.length log in
-           if n = replayed then
-             if Kernel.group_write_pending d ~service:t.service then begin
-               Vsim.Proc.delay engine 1.0;
-               drain replayed
-             end
-             else on_caught_up ()
-           else
-             let tail = List.filteri (fun i _ -> i >= replayed) log in
-             if List.for_all replay tail then drain n
-             else metric t host "catchup-abort"
+         let rec drain () =
+           match
+             List.filter
+               (fun (pos, _, _, _) -> not (Hashtbl.mem replayed pos))
+               (Kernel.group_write_log d ~service:t.service)
+           with
+           | [] ->
+               if Kernel.group_write_pending d ~service:t.service then begin
+                 Vsim.Proc.delay engine 1.0;
+                 drain ()
+               end
+               else on_caught_up ()
+           | fresh ->
+               if List.for_all replay fresh then drain ()
+               else metric t host "catchup-abort"
          in
-         drain 0))
+         drain ()))
 
 (* Revive the member on [addr] after a crash: boot a fresh server over
    the surviving disk, replay the group's write log to it — the member's
@@ -156,8 +164,10 @@ let catch_up t host p ~label ~on_caught_up =
    rejoin the group, so the balancer and the write fan-out never see a
    member that has not caught up. The rejoin is abandoned (and counted
    under the "replica" metrics) if the capped log has trimmed writes
-   this member never applied, or if the replay itself fails: enrolling
-   a member with a known gap would serve stale reads as fresh. *)
+   this member never applied — checked before the replay and again at
+   its end, since the log keeps trimming while it runs — or if the
+   replay itself fails: enrolling a member with a known gap would serve
+   stale reads as fresh. *)
 let revive t addr =
   match (find_member t addr, Kernel.host_of_addr t.domain addr) with
   | None, _ | _, None -> None
@@ -165,15 +175,19 @@ let revive t addr =
       let fresh = File_server.restart_from fs host () in
       t.members <-
         (addr, fresh) :: List.remove_assoc addr t.members;
-      let covered =
+      let covered () =
         List.for_all
           (fun (origin, trimmed) ->
             File_server.applied_wseq fresh ~origin >= trimmed)
           (Kernel.group_write_trimmed t.domain ~service:t.service)
       in
-      if covered then
+      if covered () then
         catch_up t host (File_server.pid fresh) ~label:"replica-catchup"
-          ~on_caught_up:(fun () -> enroll t host fresh)
+          ~on_caught_up:(fun () ->
+            (* The log kept trimming while the replay ran: an entry
+               trimmed before it was replayed left a gap. *)
+            if covered () then enroll t host fresh
+            else metric t host "catchup-uncovered")
       else metric t host "catchup-uncovered";
       Some fresh
 

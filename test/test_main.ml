@@ -23,5 +23,6 @@ let () =
          Test_fault.suite;
          Test_admission.suite;
          Test_replication.suite;
+         Test_groups.suite;
          Test_domains.suite;
        ])

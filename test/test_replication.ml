@@ -98,7 +98,7 @@ let test_write_all_converges () =
      sequence guard must swallow it: no error, and no divergence. *)
   let log = K.group_write_log domain ~service:(Replica.service rset) in
   Alcotest.(check bool) "writes were logged" true (List.length log >= 4);
-  let _, _, dup = List.nth log (List.length log - 1) in
+  let _, _, _, dup = List.nth log (List.length log - 1) in
   let member0 = List.hd members in
   ignore
     (Scenario.spawn_client t ~ws:0 ~name:"redeliver" (fun self _env ->
@@ -218,46 +218,89 @@ let test_log_lifecycle () =
 
 (* --- revive: writes racing the catch-up still reach the member --- *)
 
-let test_revive_catchup_converges () =
-  let t, rset = build_replicated ~seed:15 ~factor:2 () in
+(* Workstation 0 creates [initial] names, crashes member 1, creates 8
+   more while it is down, revives it and at once creates [final] names,
+   which race the catch-up; every other workstation creates 30 names of
+   its own from 100 ms on, as a concurrent coordinator. Returns the
+   names the two members disagree on. *)
+let revive_race ~workstations ~initial ~final =
+  let t, rset = build_replicated ~workstations ~seed:15 ~factor:2 () in
   let domain = Scenario.(t.domain) in
   let addr1 = Scenario.fs_addr 1 in
+  let host1 () =
+    match K.host_of_addr domain addr1 with
+    | Some h -> h
+    | None -> Alcotest.fail "member host missing"
+  in
+  let create env fmt =
+    Fmt.kstr (fun name -> ok_exn name (Runtime.create env name)) fmt
+  in
   ignore
     (Scenario.spawn_client t ~ws:0 ~name:"writer" (fun _self env ->
          ok_exn "mkdir" (Runtime.create env ~directory:true "[rstore]top");
-         (match K.host_of_addr domain addr1 with
-         | Some h -> K.crash_host h
-         | None -> Alcotest.fail "member host missing");
-         (* Member 1 is down: these reach member 0 only, via the log. *)
-         for i = 1 to 8 do
-           ok_exn "create" (Runtime.create env (Fmt.str "[rstore]top/down%d" i))
+         for i = 1 to initial do
+           create env "[rstore]top/init%d" i
          done;
-         (match K.host_of_addr domain addr1 with
-         | Some h -> K.restart_host h
-         | None -> ());
+         K.crash_host (host1 ());
+         for i = 1 to 8 do
+           create env "[rstore]top/down%d" i
+         done;
+         K.restart_host (host1 ());
          (match Replica.revive rset addr1 with
          | Some (_ : File_server.t) -> ()
          | None -> Alcotest.fail "revive returned no member");
-         (* The catch-up is replaying right now: these writes race the
-            rejoin, and the drain loop + pending check must ensure the
-            revived member gets every one — by replay if they land
-            before the rejoin, by fan-out if after. *)
-         for i = 1 to 8 do
-           ok_exn "create"
-             (Runtime.create env (Fmt.str "[rstore]top/during%d" i))
+         for i = 1 to final do
+           create env "[rstore]top/final%d" i
          done));
+  for ws = 1 to workstations - 1 do
+    ignore
+      (Scenario.spawn_client t ~ws ~name:"racer" (fun _self env ->
+           Vsim.Proc.delay Scenario.(t.engine) 100.0;
+           for i = 1 to 30 do
+             create env "[rstore]top/ws%d-%d" ws i
+           done))
+  done;
   Scenario.run t;
-  let members = List.map snd (Replica.members rset) in
   let names =
-    "top"
-    :: List.concat_map
-         (fun i -> [ Fmt.str "top/down%d" i; Fmt.str "top/during%d" i ])
-         [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+    List.concat
+      [
+        [ "top" ];
+        List.init initial (fun i -> Fmt.str "top/init%d" (i + 1));
+        List.init 8 (fun i -> Fmt.str "top/down%d" (i + 1));
+        List.init final (fun i -> Fmt.str "top/final%d" (i + 1));
+        List.concat
+          (List.init (workstations - 1) (fun w ->
+               List.init 30 (fun i -> Fmt.str "top/ws%d-%d" (w + 1) (i + 1))));
+      ]
   in
+  let members = List.map snd (Replica.members rset) in
+  List.map (Fmt.str "%a" Invariant.pp_violation)
+    (Invariant.replica_divergence t ~members ~names)
+
+(* The catch-up is replaying while the final writes land: the drain
+   loop and the pending check must ensure the revived member gets every
+   one — by replay if they land before the rejoin, by fan-out if
+   after. *)
+let test_revive_catchup_converges () =
   Alcotest.(check (list string))
     "revived member missed nothing" []
-    (List.map (Fmt.str "%a" Invariant.pp_violation)
-       (Invariant.replica_divergence t ~members ~names))
+    (revive_race ~workstations:1 ~initial:0 ~final:8)
+
+(* At the cap every append trims one committed entry, so the number of
+   committed entries stops growing: a catch-up that counted them would
+   miss the writes made while it replays. *)
+let test_revive_catchup_at_cap () =
+  Alcotest.(check (list string))
+    "revived member missed nothing" []
+    (revive_race ~workstations:1 ~initial:1100 ~final:8)
+
+(* Another coordinator's older entry committing after a newer one
+   shifts every index after it: the catch-up must track what it has
+   replayed by position. *)
+let test_revive_catchup_concurrent_coordinators () =
+  Alcotest.(check (list string))
+    "revived member missed nothing" []
+    (revive_race ~workstations:4 ~initial:10 ~final:30)
 
 (* --- partition: gap rejection while behind, heal-time sync converges --- *)
 
@@ -268,6 +311,40 @@ let sum_metric t op =
       if k.Vobs.Metrics.op = op then acc + v else acc)
     0
     (Vobs.Metrics.counters metrics)
+
+(* Writes trimmed out of the log after revive's first coverage check,
+   before the catch-up could replay them, leave the member a gap it
+   cannot fill: the catch-up must end without enrolling it. *)
+let test_revive_abandoned_when_trimmed_during_catchup () =
+  let t, rset = build_replicated ~seed:19 ~factor:2 () in
+  let d = Scenario.(t.domain) in
+  let service = Replica.service rset in
+  let addr1 = Scenario.fs_addr 1 in
+  ignore
+    (Scenario.spawn_client t ~ws:0 ~name:"writer" (fun _self env ->
+         ok_exn "mkdir" (Runtime.create env ~directory:true "[rstore]top")));
+  Scenario.run t;
+  (match K.host_of_addr d addr1 with
+  | Some h ->
+      K.crash_host h;
+      K.restart_host h
+  | None -> Alcotest.fail "member host missing");
+  (match Replica.revive rset addr1 with
+  | Some (_ : File_server.t) -> ()
+  | None -> Alcotest.fail "revive returned no member");
+  (* The catch-up has not read the log yet: another origin's writes now
+     overflow the cap, and the oldest of them are trimmed. *)
+  let _, _, _, msg = List.hd (K.group_write_log d ~service) in
+  for seq = 1 to 1100 do
+    K.log_group_write d ~service ~origin:999 ~seq
+      (Vmsg.with_wseq msg { Vmsg.origin = 999; seq });
+    K.commit_group_write d ~service ~origin:999 ~seq
+  done;
+  Scenario.run t;
+  Alcotest.(check int) "rejoin abandoned" 1 (sum_metric t "catchup-uncovered");
+  Alcotest.(check int) "only member 0 serves" 1
+    (List.length
+       (K.service_group_members d ~requester:(Scenario.ws_addr 0) ~service))
 
 let test_partition_heal_sync () =
   let t, rset = build_replicated ~seed:18 ~factor:2 () in
@@ -345,7 +422,7 @@ let test_no_resurrection () =
   Scenario.run t;
   Alcotest.(check (list int))
     "gap-free committed seq stream" [ 1; 2 ]
-    (List.map (fun (_, seq, _) -> seq) (K.group_write_log d ~service))
+    (List.map (fun (_, _, seq, _) -> seq) (K.group_write_log d ~service))
 
 (* --- the divergence invariant can actually fire --- *)
 
@@ -380,6 +457,12 @@ let suite =
           test_log_lifecycle;
         Alcotest.test_case "writes racing a revive catch-up converge" `Quick
           test_revive_catchup_converges;
+        Alcotest.test_case "revive catch-up at the log cap converges" `Quick
+          test_revive_catchup_at_cap;
+        Alcotest.test_case "revive catch-up beside other coordinators"
+          `Quick test_revive_catchup_concurrent_coordinators;
+        Alcotest.test_case "revive abandoned when the log trims past it"
+          `Quick test_revive_abandoned_when_trimmed_during_catchup;
         Alcotest.test_case "partitioned member refuses gaps; heal sync"
           `Quick test_partition_heal_sync;
         Alcotest.test_case "definite fan-out failure aborts, no resurrection"
