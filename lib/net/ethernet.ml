@@ -1,15 +1,16 @@
 (* Simulated network fabric.
 
-   Two topologies share one interface (see {!Topology}):
+   Two topologies share one interface and one frame path (see
+   {!Topology}):
 
-   - [Shared_medium] (the default): the paper's single wire. A
-     transmission waits until the medium is free, then propagates to
-     the destination host(s). This path is kept bit-for-bit identical
-     to the pre-fabric model: one [wire_free_at], one PRNG draw per
-     frame, the same event schedule.
+   - [Shared_medium] (the default): the paper's single wire, modelled as
+     a fabric of one link. A transmission waits until the wire is free,
+     then propagates to the destination host(s), which are looked up
+     when the frame arrives: one [free_at], one PRNG draw per frame, the
+     same event schedule as the pre-fabric model.
 
    - [Switched { fan_in }]: hosts hang off edge switches, edges uplink
-     to one spine, and every directed link owns its own [l_free_at] —
+     to one spine, and every directed link owns its own [free_at] —
      independent segments carry traffic concurrently. Each hop is
      store-and-forward: the frame serializes onto the link, propagates,
      pays {!Calibration.switch_forward_ms} on entering a switch, and is
@@ -17,6 +18,14 @@
      per link, not per destination). Each link has a bounded output
      queue: a frame arriving at a full port is tail-dropped and
      counted, per link and globally.
+
+   A frame in transit is one flight record: the frame, the link it is
+   crossing and the one closure the engine calls when it reaches the
+   far end. [hop] puts a flight on a link and [arrive] steps it, so a
+   unicast frame allocates one flight however many hops it takes, and
+   its route is arithmetic on the dense link index
+   ({!Topology.host_uplink} and friends). Link state lives in an array
+   under that index and materializes on first use.
 
    Host CPU costs for building and consuming packets are charged by the
    kernel layer, not here; the network charges only queueing +
@@ -54,21 +63,51 @@ type 'a host_port = {
       (* per-frame counters, in [wire_ops] order; see [flush_metrics] *)
 }
 
-(* One directed link of the switched fabric. [l_queued] counts frames
-   occupying the port — queued, serializing or in flight — and is what
-   the bounded-queue admission check reads; [l_busy_ms] accumulates
-   serialization time for utilization accounting. *)
+(* One directed link, the shared wire included. [l_queued] counts
+   frames occupying the port — queued, serializing or in flight — and
+   is what the bounded-queue admission check reads. The float state
+   sits in its own all-float record, which OCaml stores unboxed, so a
+   hop updates it without allocating. *)
 type link = {
-  link_id : Topology.node * Topology.node;
+  l_id : int;  (* dense index ({!Topology.link_index}); 0 for the wire *)
   mutable l_up : bool;
-  mutable l_free_at : float;
   mutable l_queued : int;
   mutable l_queue_peak : int;
   mutable l_frames : int;
   mutable l_drops : int;  (* tail drops + frames dying on a down link *)
-  mutable l_busy_ms : float;
-  mutable l_extra_ms : float;  (* slow-link fault injection, per hop *)
-  mutable l_busy_sampled : float;  (* l_busy_ms at the last ts sample *)
+  l_time : link_time;
+}
+
+and link_time = {
+  mutable free_at : float;
+  mutable busy_ms : float;  (* serialization time, for utilization *)
+  mutable extra_ms : float;  (* slow-link fault injection, per hop *)
+  mutable busy_sampled : float;  (* busy_ms at the last ts sample *)
+}
+
+let new_link id =
+  {
+    l_id = id;
+    l_up = true;
+    l_queued = 0;
+    l_queue_peak = 0;
+    l_frames = 0;
+    l_drops = 0;
+    l_time =
+      { free_at = 0.0; busy_ms = 0.0; extra_ms = 0.0; busy_sampled = 0.0 };
+  }
+
+(* Fills the link array's slots that have not materialized. *)
+let no_link = new_link (-1)
+
+(* A frame in transit: the link it is crossing and the closure the
+   engine runs when it reaches the far end. A fan-out frame carries
+   the destinations it was sent to; a unicast one reads [frame.dst]. *)
+type 'a flight = {
+  fl_frame : 'a frame;
+  fl_dests : addr list;
+  mutable fl_link : link;
+  fl_arrive : unit -> unit;
 }
 
 type link_stat = {
@@ -90,8 +129,9 @@ type 'a t = {
   prng : Vsim.Prng.t;
   hosts : (addr, 'a host_port) Hashtbl.t;
   groups : (int, (addr, unit) Hashtbl.t) Hashtbl.t;
-  mutable wire_free_at : float;  (* Shared_medium only *)
-  links : (Topology.node * Topology.node, link) Hashtbl.t;  (* Switched only *)
+  (* By dense link index; [no_link] where none has materialized. The
+     shared medium's one link, the wire, is index 0. *)
+  mutable links : link array;
   mutable loss_probability : float;
   (* Unordered host pairs that cannot exchange frames. *)
   mutable partitions : (addr * addr) list;
@@ -101,7 +141,7 @@ type 'a t = {
   mutable last_ts_sample : float;  (* when sample_timeseries last ran *)
   (* Interior (switch-to-switch) links with their three prebuilt series
      names, so a pump firing walks ~O(edges) records and allocates no
-     strings. Links materialize lazily, so [get_link] invalidates. *)
+     strings. Links materialize lazily, so [materialize] keeps it current. *)
   mutable ts_interior : (string * string * string * link) list option;
 }
 
@@ -112,12 +152,15 @@ let create ?(seed = 1) ?(topology = Topology.Shared_medium) ?(queue_cap = 256)
     engine;
     config;
     topology;
-    queue_cap;
+    (* The wire queues without bound. *)
+    queue_cap =
+      (match topology with
+      | Topology.Shared_medium -> max_int
+      | Topology.Switched _ -> queue_cap);
     prng = Vsim.Prng.create ~seed;
     hosts = Hashtbl.create 16;
     groups = Hashtbl.create 16;
-    wire_free_at = 0.0;
-    links = Hashtbl.create 64;
+    links = [||];
     loss_probability = 0.0;
     partitions = [];
     counters =
@@ -238,55 +281,66 @@ let leave_group t ~group ~addr =
   | None -> ()
   | Some members -> Hashtbl.remove members addr
 
-(* --- the switched fabric's links --- *)
+(* --- links --- *)
+
+let link_nodes t l = Topology.link_of_index t.topology l.l_id
+let link_label t l = Topology.link_label (link_nodes t l)
+let is_interior l = l.l_id land 3 >= 2
+
+let interior_series t l =
+  let label = link_label t l in
+  ( "link/" ^ label ^ "/utilization-pct",
+    "link/" ^ label ^ "/queue",
+    "link/" ^ label ^ "/drops",
+    l )
 
 (* Links materialize on first use: the host population is dynamic, so
-   the fabric cannot enumerate its ports up front. *)
-let get_link t key =
-  match Hashtbl.find_opt t.links key with
-  | Some l -> l
-  | None ->
-      let l =
-        {
-          link_id = key;
-          l_up = true;
-          l_free_at = 0.0;
-          l_queued = 0;
-          l_queue_peak = 0;
-          l_frames = 0;
-          l_drops = 0;
-          l_busy_ms = 0.0;
-          l_extra_ms = 0.0;
-          l_busy_sampled = 0.0;
-        }
-      in
-      Hashtbl.replace t.links key l;
-      (* Keep the pump's interior-link cache coherent incrementally:
-         host links (the overwhelming majority) never touch it, and a
-         fresh interior link appends rather than forcing a rebuild. *)
-      (match (key, t.ts_interior) with
-      | ((Topology.Host _, _ | _, Topology.Host _), _) | _, None -> ()
-      | _, Some cached ->
-          let label = Topology.link_label key in
-          t.ts_interior <-
-            Some
-              (( "link/" ^ label ^ "/utilization-pct",
-                 "link/" ^ label ^ "/queue",
-                 "link/" ^ label ^ "/drops",
-                 l )
-              :: cached));
-      l
+   the fabric cannot enumerate its ports up front. The array grows to
+   the highest index touched. *)
+let materialize t id =
+  if id >= Array.length t.links then begin
+    let grown = Array.make (max (id + 1) (2 * Array.length t.links)) no_link in
+    Array.blit t.links 0 grown 0 (Array.length t.links);
+    t.links <- grown
+  end;
+  let l = new_link id in
+  t.links.(id) <- l;
+  (* Keep the pump's interior-link cache coherent incrementally: host
+     links (the overwhelming majority) never touch it, and a fresh
+     interior link appends rather than forcing a rebuild. *)
+  (match (t.topology, t.ts_interior) with
+  | Topology.Switched _, Some cached when is_interior l ->
+      t.ts_interior <- Some (interior_series t l :: cached)
+  | _ -> ());
+  l
+
+let get_link t id =
+  if id < Array.length t.links && t.links.(id) != no_link then t.links.(id)
+  else materialize t id
+
+(* An untouched link is up; only materialized links can be down. *)
+let link_is_up t id =
+  id >= Array.length t.links
+  ||
+  let l = t.links.(id) in
+  l == no_link || l.l_up
+
+let fold_links t f acc =
+  Array.fold_left
+    (fun acc l -> if l == no_link then acc else f acc l)
+    acc t.links
 
 let require_link t what (a, b) =
   (match t.topology with
   | Topology.Switched _ -> ()
   | Topology.Shared_medium ->
       invalid_arg (what ^ ": the shared medium has no links"));
-  if not (Topology.is_link t.topology (a, b)) then
-    invalid_arg
-      (Fmt.str "%s: %a is not a link of this topology" what Topology.pp_link
-         (a, b));
-  get_link t (a, b)
+  match Topology.link_index t.topology (a, b) with
+  | Some id -> get_link t id
+  | None ->
+      invalid_arg
+        (Fmt.str "%s: %a is not a link of this topology" what Topology.pp_link
+           (a, b))
 
 let set_link_up t a b up =
   let l = require_link t "Ethernet.set_link_up" (a, b) in
@@ -299,37 +353,38 @@ let set_link_up t a b up =
 let link_up t a b =
   match t.topology with
   | Topology.Shared_medium -> true
-  | Topology.Switched _ ->
-      if not (Topology.is_link t.topology (a, b)) then false
-      else
-        (* An untouched link is up; only materialized links can be
-           down. *)
-        (match Hashtbl.find_opt t.links (a, b) with
-        | Some l -> l.l_up
-        | None -> true)
+  | Topology.Switched _ -> (
+      match Topology.link_index t.topology (a, b) with
+      | Some id -> link_is_up t id
+      | None -> false)
 
 let set_link_extra_latency t a b ms =
   if ms < 0.0 then invalid_arg "Ethernet.set_link_extra_latency";
   let l = require_link t "Ethernet.set_link_extra_latency" (a, b) in
-  l.l_extra_ms <- ms;
+  l.l_time.extra_ms <- ms;
   net_event t "net" "link %a extra latency := %.3fms" Topology.pp_link (a, b) ms
 
+(* The wire is the shared medium's private link: it has no label and
+   no faults, so it is not reported. *)
 let link_stats t =
-  Hashtbl.fold
-    (fun key l acc ->
-      {
-        ls_label = Topology.link_label key;
-        ls_up = l.l_up;
-        ls_frames = l.l_frames;
-        ls_drops = l.l_drops;
-        ls_queued = l.l_queued;
-        ls_queue_peak = l.l_queue_peak;
-        ls_busy_ms = l.l_busy_ms;
-        ls_extra_ms = l.l_extra_ms;
-      }
-      :: acc)
-    t.links []
-  |> List.sort (fun a b -> compare a.ls_label b.ls_label)
+  match t.topology with
+  | Topology.Shared_medium -> []
+  | Topology.Switched _ ->
+      fold_links t
+        (fun acc l ->
+          {
+            ls_label = link_label t l;
+            ls_up = l.l_up;
+            ls_frames = l.l_frames;
+            ls_drops = l.l_drops;
+            ls_queued = l.l_queued;
+            ls_queue_peak = l.l_queue_peak;
+            ls_busy_ms = l.l_time.busy_ms;
+            ls_extra_ms = l.l_time.extra_ms;
+          }
+          :: acc)
+        []
+      |> List.sort (fun a b -> compare a.ls_label b.ls_label)
 
 (* Per-segment utilization into the metrics registry, as gauges keyed
    (link label, "net", op): utilization is serialization time over the
@@ -366,18 +421,13 @@ let interior_links t =
   | Some cached -> cached
   | None ->
       let cached =
-        Hashtbl.fold
-          (fun key l acc ->
-            match key with
-            | Topology.Host _, _ | _, Topology.Host _ -> acc
-            | _ ->
-                let label = Topology.link_label key in
-                ( "link/" ^ label ^ "/utilization-pct",
-                  "link/" ^ label ^ "/queue",
-                  "link/" ^ label ^ "/drops",
-                  l )
-                :: acc)
-          t.links []
+        match t.topology with
+        | Topology.Shared_medium -> []
+        | Topology.Switched _ ->
+            fold_links t
+              (fun acc l ->
+                if is_interior l then interior_series t l :: acc else acc)
+              []
       in
       t.ts_interior <- Some cached;
       cached
@@ -386,8 +436,9 @@ let sample_timeseries t ts ~now =
   let interval = now -. t.last_ts_sample in
   List.iter
     (fun (s_util, s_queue, s_drops, l) ->
-      let busy = l.l_busy_ms -. l.l_busy_sampled in
-      l.l_busy_sampled <- l.l_busy_ms;
+      let tm = l.l_time in
+      let busy = tm.busy_ms -. tm.busy_sampled in
+      tm.busy_sampled <- tm.busy_ms;
       let pct = if interval > 0.0 then busy /. interval *. 100.0 else 0.0 in
       Vobs.Timeseries.sample ts s_util Vobs.Timeseries.Gauge ~now pct;
       Vobs.Timeseries.sample ts s_queue Vobs.Timeseries.Gauge ~now
@@ -442,9 +493,11 @@ let heal t a b =
     net_event t "net" "heal host%d <-> host%d" (fst pair) (snd pair)
   end
 
+(* Host-pair partitions are rare: with none, the check allocates
+   nothing. *)
 let partitioned t a b =
-  let pair = if a < b then (a, b) else (b, a) in
-  List.mem pair t.partitions
+  t.partitions <> []
+  && List.mem (if a < b then (a, b) else (b, a)) t.partitions
 
 (* Can frames flow from [a] to [b]? Host-pair partitions apply in both
    topologies; the switched fabric additionally requires every directed
@@ -456,10 +509,13 @@ let reachable t a b =
   &&
   match t.topology with
   | Topology.Shared_medium -> true
-  | Topology.Switched _ ->
-      List.for_all
-        (fun (x, y) -> link_up t x y)
-        (Topology.links t.topology ~src:a ~dst:b)
+  | Topology.Switched { fan_in } ->
+      let ea = Topology.edge_of ~fan_in a and eb = Topology.edge_of ~fan_in b in
+      link_is_up t (Topology.host_uplink a)
+      && (ea = eb
+         || link_is_up t (Topology.edge_uplink ea)
+            && link_is_up t (Topology.edge_downlink eb))
+      && link_is_up t (Topology.host_downlink b)
 
 let pp ppf t =
   let slow =
@@ -470,9 +526,7 @@ let pp ppf t =
       t.hosts []
     |> List.sort compare
   in
-  let down_links =
-    Hashtbl.fold (fun _ l acc -> if l.l_up then acc else acc + 1) t.links 0
-  in
+  let down_links = fold_links t (fun n l -> if l.l_up then n else n + 1) 0 in
   Fmt.pf ppf
     "net: %a, %d hosts, loss %.3f, %d partitions%a%a, sent %d delivered %d \
      dropped %d (%dB)"
@@ -488,14 +542,20 @@ let pp ppf t =
 
 (* --- transmission --- *)
 
-(* Addresses a frame is aimed at, before liveness/partition checks
-   (those happen at arrival time, counting drops). *)
-let intended_destinations t frame =
+(* A broadcast or multicast frame's destinations, ascending, sender
+   excluded (checks of liveness and partitions happen at arrival,
+   counting drops). *)
+let fan_out_destinations t frame =
   let not_self a = a <> frame.src in
   match frame.dst with
-  | Unicast a -> if not_self a then [ a ] else []
+  | Unicast _ -> []
   | Broadcast -> List.filter not_self (hosts t)
   | Multicast g -> List.filter not_self (group_members t g)
+
+let deliver t port frame =
+  t.counters.frames_delivered <- t.counters.frames_delivered + 1;
+  Vobs.Deferred.incr port.wire w_delivered;
+  port.handler frame
 
 (* Hand one frame copy to a destination port: liveness and host-pair
    partitions are checked now — arrival time — so a host that crashed
@@ -505,11 +565,6 @@ let intended_destinations t frame =
 let deliver_at_arrival t frame addr =
   match Hashtbl.find_opt t.hosts addr with
   | Some port when port.up && not (partitioned t frame.src addr) ->
-      let deliver () =
-        t.counters.frames_delivered <- t.counters.frames_delivered + 1;
-        Vobs.Deferred.incr port.wire w_delivered;
-        port.handler frame
-      in
       if port.extra_latency_ms > 0.0 then
         (* Slow-host injection: the NIC holds the frame. The host may
            crash while it sits there, so re-check liveness at the
@@ -517,12 +572,12 @@ let deliver_at_arrival t frame addr =
         Vsim.Engine.schedule_at t.engine
           (Vsim.Engine.now t.engine +. port.extra_latency_ms)
           (fun () ->
-            if port.up then deliver ()
+            if port.up then deliver t port frame
             else begin
               t.counters.frames_dropped <- t.counters.frames_dropped + 1;
               net_metric t addr "frames-dropped"
             end)
-      else deliver ()
+      else deliver t port frame
   | Some _ | None ->
       t.counters.frames_dropped <- t.counters.frames_dropped + 1;
       net_metric t addr "frames-dropped";
@@ -543,125 +598,152 @@ let frame_lost t frame =
   end;
   lost
 
-(* The single-wire path, bit-for-bit the pre-fabric model: one
-   [wire_free_at], transmission then propagation, one loss draw per
-   frame at arrival time. *)
-let transmit_shared t frame =
-  let now = Vsim.Engine.now t.engine in
-  let start = Float.max now t.wire_free_at in
-  let duration =
-    Calibration.transmission_ms t.config ~payload_bytes:frame.payload_bytes
-  in
-  t.wire_free_at <- start +. duration;
-  let arrival = start +. duration +. t.config.propagation_ms in
-  Vsim.Engine.schedule_at t.engine arrival (fun () ->
-      if not (frame_lost t frame) then
-        List.iter
-          (fun addr -> deliver_at_arrival t frame addr)
-          (intended_destinations t frame))
+let drop t fl l what =
+  let src = fl.fl_frame.src in
+  l.l_drops <- l.l_drops + 1;
+  t.counters.frames_dropped <- t.counters.frames_dropped + 1;
+  net_metric t src "frames-dropped";
+  net_event t (host_label src) "frame %s %a" what Topology.pp_link
+    (link_nodes t l)
 
-(* One store-and-forward hop of the switched fabric: admission-check
-   the port's bounded queue, serialize behind [l_free_at], propagate,
-   then run [k] at the instant the frame is available at the far node.
-   [k] must add {!Calibration.switch_forward_ms} itself when the far
-   node is a switch (final host delivery pays no forwarding cost). *)
-let hop t frame key ~at k =
-  let l = get_link t key in
-  if not l.l_up then begin
-    l.l_drops <- l.l_drops + 1;
-    t.counters.frames_dropped <- t.counters.frames_dropped + 1;
-    net_metric t frame.src "frames-dropped";
-    net_event t (host_label frame.src) "frame dropped on down link %a"
-      Topology.pp_link key
-  end
-  else if l.l_queued >= t.queue_cap then begin
-    l.l_drops <- l.l_drops + 1;
-    t.counters.frames_dropped <- t.counters.frames_dropped + 1;
-    net_metric t frame.src "frames-dropped";
-    net_event t (host_label frame.src) "frame tail-dropped at full port %a"
-      Topology.pp_link key
-  end
+(* One store-and-forward hop onto link [id]: admission-check the
+   port's bounded queue, serialize behind [free_at], propagate, and
+   have the engine run the flight's [arrive] at the instant the frame
+   is available at the far node. [at] is when the frame is ready to
+   leave: the caller has added {!Calibration.switch_forward_ms} when it
+   leaves a switch. *)
+let hop t fl id ~at =
+  let l = get_link t id in
+  if not l.l_up then drop t fl l "dropped on down link"
+  else if l.l_queued >= t.queue_cap then drop t fl l "tail-dropped at full port"
   else begin
     l.l_queued <- l.l_queued + 1;
     if l.l_queued > l.l_queue_peak then l.l_queue_peak <- l.l_queued;
-    let start = Float.max at l.l_free_at in
+    let tm = l.l_time in
+    let start = if at >= tm.free_at then at else tm.free_at in
     let duration =
-      Calibration.transmission_ms t.config ~payload_bytes:frame.payload_bytes
+      Calibration.transmission_ms t.config
+        ~payload_bytes:fl.fl_frame.payload_bytes
     in
-    l.l_free_at <- start +. duration;
-    l.l_busy_ms <- l.l_busy_ms +. duration;
+    tm.free_at <- start +. duration;
+    tm.busy_ms <- tm.busy_ms +. duration;
     l.l_frames <- l.l_frames + 1;
-    let arrival = start +. duration +. t.config.propagation_ms +. l.l_extra_ms in
-    Vsim.Engine.schedule_at t.engine arrival (fun () ->
-        l.l_queued <- l.l_queued - 1;
-        k arrival)
+    fl.fl_link <- l;
+    Vsim.Engine.schedule_at t.engine
+      (start +. duration +. t.config.propagation_ms +. tm.extra_ms)
+      fl.fl_arrive
   end
 
-(* The switched path. The first hop (source uplink) carries one copy
-   regardless of fan-out; switches replicate — one copy per outgoing
-   link, never per destination — so a broadcast costs O(links touched),
-   not O(hosts) transmissions on any single segment. The loss draw
-   happens once per frame as it clears the source uplink, mirroring the
-   shared medium's one-draw-per-frame accounting. *)
-let transmit_switched t fan_in frame =
-  let now = Vsim.Engine.now t.engine in
-  let dests = intended_destinations t frame in
-  let src_edge = Topology.edge_of ~fan_in frame.src in
-  hop t frame (Topology.Host frame.src, Topology.Edge src_edge) ~at:now
-    (fun at ->
-      if not (frame_lost t frame) then begin
-        let at = at +. Calibration.switch_forward_ms in
-        let local, remote =
-          List.partition (fun a -> Topology.edge_of ~fan_in a = src_edge) dests
-        in
-        List.iter
-          (fun a ->
-            hop t frame (Topology.Edge src_edge, Topology.Host a) ~at
-              (fun at ->
-                ignore at;
-                deliver_at_arrival t frame a))
-          local;
-        if remote <> [] then
-          hop t frame (Topology.Edge src_edge, Topology.Spine) ~at (fun at ->
-              let at = at +. Calibration.switch_forward_ms in
-              let edges =
-                List.sort_uniq compare
-                  (List.map (Topology.edge_of ~fan_in) remote)
+(* A flight has reached the far end of [fl_link]: step it. The link
+   index says where it is. On the wire the frame has arrived: one loss
+   draw, then the destinations as they stand now. In the switched
+   fabric a unicast flight moves on to its next link; a fan-out one is
+   replicated, a new flight per outgoing link, in ascending order of
+   destination. The loss draw happens once per frame as it clears the
+   source uplink, mirroring the wire's one draw per frame. *)
+let rec arrive t fl =
+  let l = fl.fl_link in
+  l.l_queued <- l.l_queued - 1;
+  let frame = fl.fl_frame in
+  match t.topology with
+  | Topology.Shared_medium -> (
+      if not (frame_lost t frame) then
+        match frame.dst with
+        | Unicast a -> if a <> frame.src then deliver_at_arrival t frame a
+        | Broadcast | Multicast _ ->
+            List.iter
+              (deliver_at_arrival t frame)
+              (fan_out_destinations t frame))
+  | Topology.Switched { fan_in } -> (
+      let at = Vsim.Engine.now t.engine +. Calibration.switch_forward_ms in
+      let x = l.l_id lsr 2 in
+      match l.l_id land 3 with
+      | 0 -> (
+          (* At the source's edge switch; [x] is the source. *)
+          let e = Topology.edge_of ~fan_in x in
+          if not (frame_lost t frame) then
+            match frame.dst with
+            | Unicast a ->
+                if a = x then ()
+                else if Topology.edge_of ~fan_in a = e then
+                  hop t fl (Topology.host_downlink a) ~at
+                else hop t fl (Topology.edge_uplink e) ~at
+            | Broadcast | Multicast _ ->
+                List.iter
+                  (fun a ->
+                    if Topology.edge_of ~fan_in a = e then
+                      replicate t fl (Topology.host_downlink a) ~at)
+                  fl.fl_dests;
+                if List.exists (fun a -> Topology.edge_of ~fan_in a <> e)
+                     fl.fl_dests
+                then replicate t fl (Topology.edge_uplink e) ~at)
+      | 1 -> deliver_at_arrival t frame x
+      | 2 -> (
+          (* At the spine; [x] is the source's edge. The destinations are
+             ascending, so their edges are too. *)
+          match frame.dst with
+          | Unicast a ->
+              hop t fl (Topology.edge_downlink (Topology.edge_of ~fan_in a)) ~at
+          | Broadcast | Multicast _ ->
+              let rec down last = function
+                | [] -> ()
+                | a :: rest ->
+                    let e = Topology.edge_of ~fan_in a in
+                    if e <> x && e <> last then begin
+                      replicate t fl (Topology.edge_downlink e) ~at;
+                      down e rest
+                    end
+                    else down last rest
               in
+              down (-1) fl.fl_dests)
+      | _ -> (
+          (* At a destination's edge switch; [x] is that edge. *)
+          match frame.dst with
+          | Unicast a -> hop t fl (Topology.host_downlink a) ~at
+          | Broadcast | Multicast _ ->
               List.iter
-                (fun eb ->
-                  hop t frame (Topology.Spine, Topology.Edge eb) ~at (fun at ->
-                      let at = at +. Calibration.switch_forward_ms in
-                      List.iter
-                        (fun a ->
-                          if Topology.edge_of ~fan_in a = eb then
-                            hop t frame (Topology.Edge eb, Topology.Host a) ~at
-                              (fun at ->
-                                ignore at;
-                                deliver_at_arrival t frame a))
-                        remote))
-                edges)
-      end)
+                (fun a ->
+                  if Topology.edge_of ~fan_in a = x then
+                    replicate t fl (Topology.host_downlink a) ~at)
+                fl.fl_dests))
+
+(* A fan-out copy of [fl] onto link [id]: a flight of its own. *)
+and replicate t fl id ~at =
+  hop t (flight t fl.fl_frame fl.fl_dests) id ~at
+
+and flight t frame dests =
+  let rec fl =
+    {
+      fl_frame = frame;
+      fl_dests = dests;
+      fl_link = no_link;
+      fl_arrive = (fun () -> arrive t fl);
+    }
+  in
+  fl
 
 (* Queue a frame for transmission. The sending host must exist and be
-   up; otherwise the frame vanishes (its kernel is dead anyway). *)
+   up; otherwise the frame vanishes (its kernel is dead anyway). On the
+   wire a fan-out frame finds its destinations when it arrives; in the
+   switched fabric it takes them along when it leaves. *)
 let transmit t frame =
-  let src_port =
-    match Hashtbl.find_opt t.hosts frame.src with
-    | Some port when port.up -> Some port
-    | Some _ | None -> None
-  in
-  match src_port with
-  | None -> ()
-  | Some port ->
-    t.counters.frames_sent <- t.counters.frames_sent + 1;
-    t.counters.bytes_sent <-
-      t.counters.bytes_sent + t.config.header_bytes + frame.payload_bytes;
-    Vobs.Deferred.incr port.wire w_sent;
-    Vobs.Deferred.add port.wire w_bytes
-      (t.config.header_bytes + frame.payload_bytes);
-    trace_emit t "host%d -> %a (%dB payload)" frame.src pp_dest frame.dst
-      frame.payload_bytes;
-    match t.topology with
-    | Topology.Shared_medium -> transmit_shared t frame
-    | Topology.Switched { fan_in } -> transmit_switched t fan_in frame
+  match Hashtbl.find_opt t.hosts frame.src with
+  | Some port when port.up -> (
+      t.counters.frames_sent <- t.counters.frames_sent + 1;
+      t.counters.bytes_sent <-
+        t.counters.bytes_sent + t.config.header_bytes + frame.payload_bytes;
+      Vobs.Deferred.incr port.wire w_sent;
+      Vobs.Deferred.add port.wire w_bytes
+        (t.config.header_bytes + frame.payload_bytes);
+      if t.trace <> None then
+        trace_emit t "host%d -> %a (%dB payload)" frame.src pp_dest frame.dst
+          frame.payload_bytes;
+      let at = Vsim.Engine.now t.engine in
+      match t.topology with
+      | Topology.Shared_medium -> hop t (flight t frame []) 0 ~at
+      | Topology.Switched _ ->
+          hop t
+            (flight t frame (fan_out_destinations t frame))
+            (Topology.host_uplink frame.src)
+            ~at)
+  | Some _ | None -> ()

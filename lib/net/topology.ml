@@ -134,14 +134,37 @@ let rollup_scope t label =
           | Some node -> node_scope node
           | None -> None))
 
+(* Dense link index of the switched fabric, so per-link state can live
+   in an array: host [h]'s access links are 4h (uplink, host->edge) and
+   4h+1 (downlink, edge->host); edge [e]'s are 4e+2 (uplink,
+   edge->spine) and 4e+3 (downlink, spine->edge). *)
+let host_uplink h = h lsl 2
+let host_downlink h = (h lsl 2) lor 1
+let edge_uplink e = (e lsl 2) lor 2
+let edge_downlink e = (e lsl 2) lor 3
+
+let link_index t (a, b) =
+  match (t, a, b) with
+  | Switched { fan_in }, Host h, Edge e when h >= 0 && edge_of ~fan_in h = e ->
+      Some (host_uplink h)
+  | Switched { fan_in }, Edge e, Host h when h >= 0 && edge_of ~fan_in h = e ->
+      Some (host_downlink h)
+  | Switched _, Edge e, Spine when e >= 0 -> Some (edge_uplink e)
+  | Switched _, Spine, Edge e when e >= 0 -> Some (edge_downlink e)
+  | _ -> None
+
 (* Is [(a, b)] a directed link of the topology's graph? Both directions
    of a cable are valid, independent links. The shared medium has no
    links at all. *)
-let is_link t (a, b) =
+let is_link t l = Option.is_some (link_index t l)
+
+let link_of_index t i =
   match t with
-  | Shared_medium -> false
+  | Shared_medium -> invalid_arg "Topology.link_of_index: no links"
   | Switched { fan_in } -> (
-      match (a, b) with
-      | Host h, Edge e | Edge e, Host h -> h >= 0 && edge_of ~fan_in h = e
-      | Edge e, Spine | Spine, Edge e -> e >= 0
-      | _ -> false)
+      let x = i lsr 2 in
+      match i land 3 with
+      | 0 -> (Host x, Edge (edge_of ~fan_in x))
+      | 1 -> (Edge (edge_of ~fan_in x), Host x)
+      | 2 -> (Edge x, Spine)
+      | _ -> (Spine, Edge x))

@@ -55,6 +55,26 @@ val link_label : node * node -> string
     yield [None] (the leaf still reaches the fleet level). *)
 val rollup_scope : t -> string -> string option
 
+(** {1 Dense link index}
+
+    Each directed link of a switched fabric has a small non-negative
+    index, so per-link state can live in an array: host [h]'s access
+    links are [4h] (uplink) and [4h+1] (downlink), edge [e]'s are
+    [4e+2] (uplink to the spine) and [4e+3] (downlink from it). *)
+
+val host_uplink : int -> int
+val host_downlink : int -> int
+val edge_uplink : int -> int
+val edge_downlink : int -> int
+
+(** The index of a directed link; [None] when the pair is not a link of
+    this topology (always, on the shared medium). *)
+val link_index : t -> node * node -> int option
+
 (** Is the pair a directed link of this topology's graph? Always
     [false] on the shared medium. *)
 val is_link : t -> node * node -> bool
+
+(** The link an index names. Raises [Invalid_argument] on the shared
+    medium. *)
+val link_of_index : t -> int -> node * node

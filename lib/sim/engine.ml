@@ -49,6 +49,9 @@ let global_executed () = !global_executed_events
 
 exception Time_went_backwards of { now : float; requested : float }
 
+(* What a cancelled timer holds in place of its action. *)
+let dead () = ()
+
 let create ?(backend = Wheel_queue) () =
   {
     now = 0.0;
@@ -56,7 +59,7 @@ let create ?(backend = Wheel_queue) () =
     executed = 0;
     running = false;
     backend;
-    wheel = Wheel.create ();
+    wheel = Wheel.create ~dead ();
     heap = Heap.create ~compare:Wheel.compare_node;
     heap_live = 0;
     heap_cancelled = 0;
@@ -101,7 +104,7 @@ let cancel t handle =
   match t.backend with
   | Wheel_queue -> ignore (Wheel.cancel t.wheel handle : bool)
   | Heap_queue ->
-      if Wheel.consume handle then begin
+      if Wheel.kill handle ~dead then begin
         t.heap_live <- t.heap_live - 1;
         t.heap_cancelled <- t.heap_cancelled + 1
       end

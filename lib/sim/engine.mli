@@ -45,7 +45,8 @@ val schedule_at : t -> float -> (unit -> unit) -> unit
 (** {1 Cancellable timers}
 
     [timer]/[timer_at] are [schedule]/[schedule_at] returning a handle;
-    [cancel] is O(1) and the cancelled action never runs. Cancelling a
+    [cancel] is O(1), the cancelled action never runs, and the engine
+    lets go of the action (and what it captured) at once. Cancelling a
     timer that already fired (or was already cancelled) is a no-op —
     including from an event executing at the timer's own timestamp. *)
 

@@ -22,10 +22,14 @@
    of simulated now after a peek) go straight to the ready heap, which
    keeps the global order exact in that case too.
 
-   Cancellation is O(1): a node is marked dead and merely skipped (and
-   dropped) when the cursor would otherwise move it, so a satisfied
-   retransmit timer costs one store instead of a heap percolation now
-   and a dead pop later.
+   Cancellation is O(1): a node is marked dead and its value swapped
+   for the wheel's [dead] placeholder at once, so whatever the value
+   captured (a retransmit timer's pending transaction, its request
+   packet) is collectable as soon as the canceller lets go of it. Only
+   the small node itself stays behind, skipped and dropped when the
+   cursor would otherwise move it, so a satisfied retransmit timer
+   costs two stores instead of a heap percolation now and a dead pop
+   later.
 
    Slot-collision argument (why one list per slot suffices): a level-l
    node is placed with delta in [32^l, 32^(l+1)), so its level-l digit
@@ -39,7 +43,7 @@
 type 'a node = {
   n_time : float;
   n_seq : int;
-  n_value : 'a;
+  mutable n_value : 'a;
   mutable n_live : bool;
 }
 
@@ -59,6 +63,13 @@ let consume n =
   end
   else false
 
+let kill n ~dead =
+  if consume n then begin
+    n.n_value <- dead;
+    true
+  end
+  else false
+
 let compare_node a b =
   let c = Float.compare a.n_time b.n_time in
   if c <> 0 then c else Int.compare a.n_seq b.n_seq
@@ -67,6 +78,7 @@ let default_tick_ms = 0.25
 
 type 'a t = {
   tick_ms : float;
+  dead : 'a;  (* the value a cancelled node holds instead of its own *)
   mutable cur : int;  (* cursor tick: slots at or before it are drained *)
   slots : 'a node list array;  (* 5 levels x 32 slots, flattened *)
   occ : int array;  (* per-level occupancy bitmap over its 32 slots *)
@@ -78,10 +90,11 @@ type 'a t = {
   mutable cancelled_count : int;
 }
 
-let create ?(tick_ms = default_tick_ms) () =
+let create ?(tick_ms = default_tick_ms) ~dead () =
   if tick_ms <= 0.0 then invalid_arg "Wheel.create: tick_ms must be positive";
   {
     tick_ms;
+    dead;
     cur = 0;
     slots = Array.make 160 [];
     occ = Array.make 5 0;
@@ -126,7 +139,7 @@ let push t ~time ~seq v =
   node
 
 let cancel t node =
-  if consume node then begin
+  if kill node ~dead:t.dead then begin
     t.live_count <- t.live_count - 1;
     t.cancelled_count <- t.cancelled_count + 1;
     true
@@ -200,8 +213,8 @@ let goto t target =
   end;
   drain_slot t 0 (target land 31)
 
-(* Everything left is dead: drop it all so cancelled actions (and their
-   captures) become collectable without walking the cursor over them. *)
+(* Everything left is dead: drop the nodes in one go rather than
+   walking the cursor over them. *)
 let purge t =
   Array.fill t.slots 0 160 [];
   Array.fill t.occ 0 5 0;

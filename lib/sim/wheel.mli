@@ -8,9 +8,11 @@
     keys, while push and cancel are O(1) and an idle stretch costs one
     hop per occupied boundary rather than one pop per event.
 
-    Cancelled nodes are dropped lazily (when the cursor would otherwise
-    move them), so a timer armed 500 ms out and cancelled 2 ms later
-    never pays a heap percolation. *)
+    A cancelled node lets go of its value at once (it holds the wheel's
+    [dead] placeholder instead), so what the value captured can die
+    young; the node itself is dropped lazily, when the cursor would
+    otherwise move it, so a timer armed 500 ms out and cancelled 2 ms
+    later never pays a heap percolation. *)
 
 type 'a t
 
@@ -18,10 +20,11 @@ type 'a t
     mark. The node is the cancellation handle. *)
 type 'a node
 
-(** [create ~tick_ms ()] is an empty wheel whose buckets are
+(** [create ~tick_ms ~dead ()] is an empty wheel whose buckets are
     [tick_ms] wide (default 0.25 ms). Ordering is exact regardless of
-    the tick width; the width only tunes bucketing efficiency. *)
-val create : ?tick_ms:float -> unit -> 'a t
+    the tick width; the width only tunes bucketing efficiency. A
+    cancelled node's value is replaced by [dead]. *)
+val create : ?tick_ms:float -> dead:'a -> unit -> 'a t
 
 (** Live (scheduled, not cancelled, not fired) nodes. *)
 val length : 'a t -> int
@@ -37,8 +40,8 @@ val cancelled : 'a t -> int
 val push : 'a t -> time:float -> seq:int -> 'a -> 'a node
 
 (** O(1) cancel: [true] if the node was live (it will never be
-    returned by [pop]); [false] if it already fired or was already
-    cancelled. *)
+    returned by [pop], and its value is released now); [false] if it
+    already fired or was already cancelled. *)
 val cancel : 'a t -> 'a node -> bool
 
 (** Earliest live node, without consuming it. May advance the internal
@@ -66,3 +69,8 @@ val make : time:float -> seq:int -> 'a -> 'a node
 
 (** Mark a node dead; [true] if it was live. *)
 val consume : 'a node -> bool
+
+(** Cancel a node: {!consume} it and, if it was live, replace its value
+    with [dead] so nothing the value captured stays reachable through
+    the node. *)
+val kill : 'a node -> dead:'a -> bool

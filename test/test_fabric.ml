@@ -218,6 +218,333 @@ let test_shared_medium_has_no_links () =
     (Invalid_argument "Ethernet.set_link_up: the shared medium has no links")
     (fun () -> E.set_link_up net (T.Host 0) (T.Edge 0) false)
 
+(* --- the switched-fabric oracle --- *)
+
+(* Reference switched fabric: the closure-chain model the flight-record
+   path replaced, kept here as its specification. Links live in a table
+   keyed by node pair; each hop serializes behind the link's free-at,
+   then runs a continuation at the far end; switches compute the
+   fan-out from a destination list taken at send time. It keeps the
+   same per-link statistics and global counters as {!Ethernet}, draws
+   from the same PRNG stream, and records deliveries as
+   (time, src, dst). *)
+module Ref = struct
+  type link = {
+    mutable up : bool;
+    mutable free_at : float;
+    mutable queued : int;
+    mutable peak : int;
+    mutable frames : int;
+    mutable drops : int;
+    mutable busy : float;
+    mutable extra : float;
+  }
+
+  type t = {
+    eng : Vsim.Engine.t;
+    fan_in : int;
+    queue_cap : int;
+    hosts : int list;  (* attached, ascending *)
+    groups : (int * int list) list;  (* group -> members, ascending *)
+    prng : Vsim.Prng.t;
+    mutable loss : float;
+    links : (T.node * T.node, link) Hashtbl.t;
+    counters : E.counters;
+    mutable deliveries : (float * int * int) list;  (* newest first *)
+  }
+
+  let create ~fan_in ~queue_cap ~hosts ~groups eng =
+    {
+      eng;
+      fan_in;
+      queue_cap;
+      hosts;
+      groups;
+      prng = Vsim.Prng.create ~seed:1;
+      loss = 0.0;
+      links = Hashtbl.create 16;
+      counters =
+        {
+          E.frames_sent = 0;
+          frames_delivered = 0;
+          frames_dropped = 0;
+          bytes_sent = 0;
+        };
+      deliveries = [];
+    }
+
+  let link r key =
+    match Hashtbl.find_opt r.links key with
+    | Some l -> l
+    | None ->
+        let l =
+          {
+            up = true;
+            free_at = 0.0;
+            queued = 0;
+            peak = 0;
+            frames = 0;
+            drops = 0;
+            busy = 0.0;
+            extra = 0.0;
+          }
+        in
+        Hashtbl.replace r.links key l;
+        l
+
+  let dropped r =
+    r.counters.E.frames_dropped <- r.counters.E.frames_dropped + 1
+
+  let deliver r src a =
+    if List.mem a r.hosts then begin
+      r.counters.E.frames_delivered <- r.counters.E.frames_delivered + 1;
+      r.deliveries <- (Vsim.Engine.now r.eng, src, a) :: r.deliveries
+    end
+    else dropped r
+
+  let hop r bytes key ~at k =
+    let l = link r key in
+    if (not l.up) || l.queued >= r.queue_cap then begin
+      l.drops <- l.drops + 1;
+      dropped r
+    end
+    else begin
+      l.queued <- l.queued + 1;
+      if l.queued > l.peak then l.peak <- l.queued;
+      let start = Float.max at l.free_at in
+      let duration = C.transmission_ms C.ethernet_3mbit ~payload_bytes:bytes in
+      l.free_at <- start +. duration;
+      l.busy <- l.busy +. duration;
+      l.frames <- l.frames + 1;
+      let arrival = start +. duration +. prop +. l.extra in
+      Vsim.Engine.schedule_at r.eng arrival (fun () ->
+          l.queued <- l.queued - 1;
+          k arrival)
+    end
+
+  let transmit r src dst bytes =
+    r.counters.E.frames_sent <- r.counters.E.frames_sent + 1;
+    r.counters.E.bytes_sent <-
+      r.counters.E.bytes_sent + C.ethernet_3mbit.C.header_bytes + bytes;
+    let fan_in = r.fan_in in
+    let dests =
+      List.filter (fun a -> a <> src)
+        (match dst with
+        | E.Unicast a -> [ a ]
+        | E.Broadcast -> r.hosts
+        | E.Multicast g -> (
+            match List.assoc_opt g r.groups with Some m -> m | None -> []))
+    in
+    let fwd = C.switch_forward_ms in
+    let src_edge = T.edge_of ~fan_in src in
+    let hop = hop r bytes in
+    hop (T.Host src, T.Edge src_edge) ~at:(Vsim.Engine.now r.eng) (fun at ->
+        let lost = r.loss > 0.0 && Vsim.Prng.float r.prng < r.loss in
+        if lost then dropped r
+        else begin
+          let at = at +. fwd in
+          let local, remote =
+            List.partition (fun a -> T.edge_of ~fan_in a = src_edge) dests
+          in
+          List.iter
+            (fun a ->
+              hop (T.Edge src_edge, T.Host a) ~at (fun _ -> deliver r src a))
+            local;
+          if remote <> [] then
+            hop (T.Edge src_edge, T.Spine) ~at (fun at ->
+                let at = at +. fwd in
+                let edges =
+                  List.sort_uniq compare (List.map (T.edge_of ~fan_in) remote)
+                in
+                List.iter
+                  (fun eb ->
+                    hop (T.Spine, T.Edge eb) ~at (fun at ->
+                        let at = at +. fwd in
+                        List.iter
+                          (fun a ->
+                            if T.edge_of ~fan_in a = eb then
+                              hop (T.Edge eb, T.Host a) ~at (fun _ ->
+                                  deliver r src a))
+                          remote))
+                  edges)
+        end)
+
+  let link_stats r =
+    Hashtbl.fold
+      (fun key l acc ->
+        {
+          E.ls_label = T.link_label key;
+          ls_up = l.up;
+          ls_frames = l.frames;
+          ls_drops = l.drops;
+          ls_queued = l.queued;
+          ls_queue_peak = l.peak;
+          ls_busy_ms = l.busy;
+          ls_extra_ms = l.extra;
+        }
+        :: acc)
+      r.links []
+    |> List.sort (fun a b -> compare a.E.ls_label b.E.ls_label)
+end
+
+type fabric_event =
+  | Send of int * E.dest * int  (* src, destination, payload bytes *)
+  | Link_up of (T.node * T.node) * bool
+  | Link_slow of (T.node * T.node) * float
+
+type fabric_case = {
+  fc_fan_in : int;
+  fc_hosts : int;  (* attached: 0 .. hosts-1; address [hosts] is not *)
+  fc_queue_cap : int;
+  fc_loss : float;
+  fc_events : (int * fabric_event) list;  (* at integer ms, in order *)
+}
+
+let fabric_links ~fan_in ~hosts =
+  let edges = List.init ((hosts / fan_in) + 1) Fun.id in
+  List.concat_map
+    (fun h ->
+      let e = T.edge_of ~fan_in h in
+      [ (T.Host h, T.Edge e); (T.Edge e, T.Host h) ])
+    (List.init (hosts + 1) Fun.id)
+  @ List.concat_map
+      (fun e -> [ (T.Edge e, T.Spine); (T.Spine, T.Edge e) ])
+      edges
+
+(* Members of multicast groups 0 and 1; group 2 has none. *)
+let fabric_groups hosts =
+  [
+    (0, List.filter (fun a -> a mod 2 = 0) (List.init hosts Fun.id));
+    (1, List.filter (fun a -> a mod 3 <> 1) (List.init hosts Fun.id));
+  ]
+
+let gen_fabric_case =
+  let open QCheck.Gen in
+  let* fc_fan_in = int_range 1 4 in
+  let* fc_hosts = int_range 2 9 in
+  let* fc_queue_cap = int_range 1 4 in
+  let* fc_loss = oneofl [ 0.0; 0.0; 0.25 ] in
+  let links = Array.of_list (fabric_links ~fan_in:fc_fan_in ~hosts:fc_hosts) in
+  let send =
+    let* src = int_range 0 (fc_hosts - 1) in
+    let* dst =
+      frequency
+        [
+          (6, map (fun a -> E.Unicast a) (int_range 0 fc_hosts));
+          (1, return (E.Unicast src));
+          (2, return E.Broadcast);
+          (2, map (fun g -> E.Multicast g) (int_range 0 2));
+        ]
+    in
+    let* bytes = int_range 1 600 in
+    return (Send (src, dst, bytes))
+  in
+  let fault =
+    let* l = map (fun i -> links.(i)) (int_range 0 (Array.length links - 1)) in
+    oneof
+      [
+        map (fun up -> Link_up (l, up)) bool;
+        map (fun ms -> Link_slow (l, float_of_int ms *. 0.5)) (int_range 0 6);
+      ]
+  in
+  let* fc_events =
+    list_size (int_range 1 60)
+      (pair (int_range 0 40) (frequency [ (5, send); (1, fault) ]))
+  in
+  let fc_events =
+    List.stable_sort (fun (a, _) (b, _) -> compare a b) fc_events
+  in
+  return { fc_fan_in; fc_hosts; fc_queue_cap; fc_loss; fc_events }
+
+let print_fabric_case c =
+  let pp_dst ppf = function
+    | E.Unicast a -> Fmt.pf ppf "host%d" a
+    | E.Broadcast -> Fmt.string ppf "broadcast"
+    | E.Multicast g -> Fmt.pf ppf "group%d" g
+  in
+  let pp_ev ppf = function
+    | Send (src, dst, bytes) ->
+        Fmt.pf ppf "send %d -> %a %dB" src pp_dst dst bytes
+    | Link_up (l, up) ->
+        Fmt.pf ppf "%a %s" T.pp_link l (if up then "up" else "down")
+    | Link_slow (l, ms) -> Fmt.pf ppf "%a +%.1fms" T.pp_link l ms
+  in
+  Fmt.str "fan_in %d, %d hosts, queue_cap %d, loss %.2f:@ %a" c.fc_fan_in
+    c.fc_hosts c.fc_queue_cap c.fc_loss
+    Fmt.(list ~sep:semi (pair ~sep:(any "ms ") int pp_ev))
+    c.fc_events
+
+let run_fabric c =
+  let eng = Vsim.Engine.create () in
+  let net =
+    E.create ~config:C.ethernet_3mbit ~topology:(T.switched ~fan_in:c.fc_fan_in)
+      ~queue_cap:c.fc_queue_cap eng
+  in
+  let deliveries = ref [] in
+  for a = 0 to c.fc_hosts - 1 do
+    E.attach net a (fun frame ->
+        deliveries := (Vsim.Engine.now eng, frame.E.src, a) :: !deliveries)
+  done;
+  List.iter
+    (fun (g, members) ->
+      List.iter (fun addr -> E.join_group net ~group:g ~addr) members)
+    (fabric_groups c.fc_hosts);
+  E.set_loss_probability net c.fc_loss;
+  List.iter
+    (fun (at, ev) ->
+      Vsim.Engine.schedule_at eng (float_of_int at) (fun () ->
+          match ev with
+          | Send (src, dst, bytes) ->
+              E.transmit net { E.src; dst; payload = (); payload_bytes = bytes }
+          | Link_up ((a, b), up) -> E.set_link_up net a b up
+          | Link_slow ((a, b), ms) -> E.set_link_extra_latency net a b ms))
+    c.fc_events;
+  Vsim.Engine.run eng;
+  (List.rev !deliveries, E.counters net, E.link_stats net)
+
+let run_reference c =
+  let eng = Vsim.Engine.create () in
+  let r =
+    Ref.create ~fan_in:c.fc_fan_in ~queue_cap:c.fc_queue_cap
+      ~hosts:(List.init c.fc_hosts Fun.id) ~groups:(fabric_groups c.fc_hosts)
+      eng
+  in
+  r.Ref.loss <- c.fc_loss;
+  List.iter
+    (fun (at, ev) ->
+      Vsim.Engine.schedule_at eng (float_of_int at) (fun () ->
+          match ev with
+          | Send (src, dst, bytes) -> Ref.transmit r src dst bytes
+          | Link_up (key, up) -> (Ref.link r key).Ref.up <- up
+          | Link_slow (key, ms) -> (Ref.link r key).Ref.extra <- ms))
+    c.fc_events;
+  Vsim.Engine.run eng;
+  (List.rev r.Ref.deliveries, r.Ref.counters, Ref.link_stats r)
+
+let prop_switched_matches_reference =
+  QCheck.Test.make ~name:"switched fabric matches the closure-chain reference"
+    ~count:300
+    (QCheck.make ~print:print_fabric_case gen_fabric_case)
+    (fun c ->
+      let got_d, got_c, got_l = run_fabric c in
+      let exp_d, exp_c, exp_l = run_reference c in
+      let pp_d ppf (t, s, d) = Fmt.pf ppf "%h:%d->%d" t s d in
+      if got_d <> exp_d then
+        QCheck.Test.fail_reportf "deliveries differ:@ got %a@ expected %a"
+          Fmt.(Dump.list pp_d) got_d Fmt.(Dump.list pp_d) exp_d;
+      if got_c <> exp_c then
+        QCheck.Test.fail_reportf
+          "counters differ: got sent %d delivered %d dropped %d bytes %d, \
+           expected %d %d %d %d"
+          got_c.E.frames_sent got_c.E.frames_delivered got_c.E.frames_dropped
+          got_c.E.bytes_sent exp_c.E.frames_sent exp_c.E.frames_delivered
+          exp_c.E.frames_dropped exp_c.E.bytes_sent;
+      if got_l <> exp_l then
+        QCheck.Test.fail_reportf "link_stats differ:@ got %s@ expected %s"
+          (String.concat ", " (List.map (fun s -> s.E.ls_label) got_l))
+          (String.concat ", " (List.map (fun s -> s.E.ls_label) exp_l));
+      true)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -227,6 +554,7 @@ let suite =
         Alcotest.test_case "topology paths" `Quick test_topology_paths;
         Alcotest.test_case "node strings" `Quick test_node_string_round_trip;
         qcheck prop_shared_matches_single_wire;
+        qcheck prop_switched_matches_reference;
         Alcotest.test_case "link cut and heal" `Quick test_link_cut;
         Alcotest.test_case "queue-full drops" `Quick test_queue_full_drops;
         Alcotest.test_case "multi-hop latency" `Quick test_multi_hop_latency;

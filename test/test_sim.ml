@@ -214,6 +214,34 @@ let test_timer_cancel_same_timestamp () =
   Alcotest.(check int) "no-op cancel not counted" 0
     (Vsim.Engine.cancelled_timers eng)
 
+(* A cancelled timer lets go of its action at cancel time, not when the
+   queue reaches the dead node: the block below is reachable only
+   through the armed action, so once the timer is cancelled a full
+   major collection must free it while the node still sits in the
+   queue (500 ms out, never reached). *)
+let arm_holding eng weak =
+  let block = Array.make 8 0 in
+  Weak.set weak 0 (Some block);
+  Vsim.Engine.timer ~delay:500.0 eng (fun () -> block.(0) <- 1)
+[@@inline never]
+
+let test_cancel_releases_action backend () =
+  let eng = Vsim.Engine.create ~backend () in
+  let weak = Weak.create 1 in
+  let h = arm_holding eng weak in
+  Vsim.Engine.schedule ~delay:1.0 eng (fun () -> Vsim.Engine.cancel eng h);
+  Vsim.Engine.run ~until:2.0 eng;
+  Gc.full_major ();
+  Alcotest.(check bool) "cancelled action collected" false (Weak.check weak 0);
+  Alcotest.(check int) "counted as cancelled" 1
+    (Vsim.Engine.cancelled_timers eng);
+  Vsim.Engine.cancel eng h;
+  Alcotest.(check int) "second cancel is a no-op" 1
+    (Vsim.Engine.cancelled_timers eng);
+  Vsim.Engine.run eng;
+  Alcotest.(check int) "only the canceller ran" 1 (Vsim.Engine.executed eng);
+  Alcotest.(check int) "nothing pending" 0 (Vsim.Engine.pending eng)
+
 let test_wheel_overflow_order () =
   (* Spans every wheel level and the overflow list (ticks are 0.25 ms:
      level 4's span ends at 2^25 ticks = 8 388 608 ms). *)
@@ -465,6 +493,10 @@ let suite =
         Alcotest.test_case "cancel at same timestamp" `Quick
           test_timer_cancel_same_timestamp;
         Alcotest.test_case "overflow ordering" `Quick test_wheel_overflow_order;
+        Alcotest.test_case "cancel releases the action (wheel)" `Quick
+          (test_cancel_releases_action Vsim.Engine.Wheel_queue);
+        Alcotest.test_case "cancel releases the action (heap)" `Quick
+          (test_cancel_releases_action Vsim.Engine.Heap_queue);
         qcheck prop_wheel_matches_heap;
       ] );
     ( "sim.proc",
